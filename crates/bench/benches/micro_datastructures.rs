@@ -39,6 +39,37 @@ fn bench_capspace(c: &mut Criterion) {
     });
 }
 
+/// Revocation scrub of a space holding `live` capabilities: free the holder
+/// of each of 64 revoked refs, then re-mint it so the space stays at size.
+/// `capspace_scrub_*` finds holders through the reverse index and should
+/// stay flat from 1k to 100k slots; `capspace_scan_*` finds them by
+/// scanning every live slot, as the Controller's owner-failure path does.
+fn bench_capspace_scrub(c: &mut Criterion) {
+    for (label, live) in [("1k", 1_000u64), ("100k", 100_000)] {
+        let mut space = CapSpace::new();
+        for i in 0..live {
+            space.insert(capref(i)).unwrap();
+        }
+        let victims: Vec<CapRef> = (0..64).map(|i| capref(i * (live / 64))).collect();
+        c.bench_function(&format!("capspace_scrub_64_refs_{label}_live"), |b| {
+            b.iter(|| {
+                for &r in &victims {
+                    black_box(space.remove_ref(r));
+                    space.insert(r).unwrap();
+                }
+            });
+        });
+        c.bench_function(&format!("capspace_scan_64_refs_{label}_live"), |b| {
+            b.iter(|| {
+                for &r in &victims {
+                    black_box(space.remove_where(|cap| *cap == r));
+                    space.insert(r).unwrap();
+                }
+            });
+        });
+    }
+}
+
 fn bench_revtree(c: &mut Criterion) {
     c.bench_function("revtree_build_and_cascade_64", |b| {
         b.iter_batched(
@@ -132,6 +163,7 @@ fn bench_event_queue(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_capspace,
+    bench_capspace_scrub,
     bench_revtree,
     bench_wire,
     bench_event_queue

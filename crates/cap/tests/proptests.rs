@@ -17,26 +17,31 @@ use fractos_cap::{
 const CTRL: ControllerAddr = ControllerAddr(0);
 const OWNER: ProcessToken = ProcessToken(0);
 
-fn capref(n: u64) -> CapRef {
-    CapRef {
-        ctrl: CTRL,
-        epoch: fractos_cap::Epoch(0),
-        object: ObjectId(n),
-    }
-}
-
 /// Operations on a capability space, mirrored against a simple model.
 #[derive(Debug, Clone)]
 enum SpaceOp {
-    Insert(u64),
+    Insert(CapRef),
     Remove(u32),
+    RemoveRef(CapRef),
+}
+
+/// References drawn so that duplicate holders and same-object-id refs under
+/// different owners or epochs are common.
+fn space_ref() -> impl Strategy<Value = CapRef> {
+    (0u32..2, 0u64..2, prop_oneof![0u64..1000, 0u64..4]).prop_map(|(c, e, n)| CapRef {
+        ctrl: ControllerAddr(c),
+        epoch: fractos_cap::Epoch(e),
+        object: ObjectId(n),
+    })
 }
 
 fn space_ops() -> impl Strategy<Value = Vec<SpaceOp>> {
     prop::collection::vec(
         prop_oneof![
-            (0u64..1000).prop_map(SpaceOp::Insert),
+            space_ref().prop_map(SpaceOp::Insert),
+            space_ref().prop_map(SpaceOp::Insert),
             (0u32..64).prop_map(SpaceOp::Remove),
+            space_ref().prop_map(SpaceOp::RemoveRef),
         ],
         0..200,
     )
@@ -48,30 +53,37 @@ proptest! {
     #[test]
     fn capspace_matches_fd_model(ops in space_ops()) {
         let mut space = CapSpace::new();
-        let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut model: BTreeMap<u32, CapRef> = BTreeMap::new();
 
         for op in ops {
             match op {
-                SpaceOp::Insert(v) => {
-                    let cid = space.insert(capref(v)).unwrap();
+                SpaceOp::Insert(r) => {
+                    let cid = space.insert(r).unwrap();
                     // Lowest free index in the model.
                     let expect = (0u32..).find(|i| !model.contains_key(i)).unwrap();
                     prop_assert_eq!(cid.0, expect);
-                    model.insert(cid.0, v);
+                    model.insert(cid.0, r);
                 }
                 SpaceOp::Remove(idx) => {
                     let got = space.remove(fractos_cap::Cid(idx));
                     match model.remove(&idx) {
-                        Some(v) => prop_assert_eq!(got.unwrap().object.0, v),
+                        Some(r) => prop_assert_eq!(got.unwrap(), r),
                         None => prop_assert!(got.is_err()),
                     }
+                }
+                SpaceOp::RemoveRef(r) => {
+                    // Exactly the holders of `r`, in ascending index order.
+                    let got: Vec<u32> = space.remove_ref(r).iter().map(|c| c.0).collect();
+                    let expect: Vec<u32> =
+                        model.iter().filter(|(_, m)| **m == r).map(|(i, _)| *i).collect();
+                    model.retain(|_, m| *m != r);
+                    prop_assert_eq!(got, expect);
                 }
             }
             prop_assert_eq!(space.len(), model.len());
         }
         // Final contents agree.
-        let live: BTreeMap<u32, u64> =
-            space.iter().map(|(cid, cap)| (cid.0, cap.object.0)).collect();
+        let live: BTreeMap<u32, CapRef> = space.iter().map(|(cid, cap)| (cid.0, cap)).collect();
         prop_assert_eq!(live, model);
     }
 

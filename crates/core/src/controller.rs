@@ -29,9 +29,7 @@ use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime, SpanKind, Trace
 
 use crate::directory::Directory;
 use crate::memstore::MemoryStore;
-use crate::messages::{
-    syscall_msg_size, CtrlMsg, CtrlToProc, DeriveOp, MonitorKind, PeerOp, ProcMsg,
-};
+use crate::messages::{CtrlMsg, CtrlToProc, DeriveOp, MonitorKind, PeerOp, ProcMsg};
 use crate::retry::{DedupFilter, SeqGen};
 use crate::types::{
     Arg, CapArg, FosError, IncomingRequest, MemoryDesc, MonitorCb, ObjPayload, ProcId, RequestDesc,
@@ -802,20 +800,25 @@ impl ControllerActor {
         Ok(outcome.nodes_visited() as u64)
     }
 
+    /// Drops the revoked references from every capability space, snapshot
+    /// and registry entry here. Each space's reverse index finds the
+    /// holders, so the cost scales with the revoked refs and the Processes
+    /// managed here, not with the number of live capabilities.
     fn scrub_capspaces(&mut self, revoked: &[CapRef]) {
-        let dead: HashSet<CapRef> = revoked.iter().copied().collect();
+        for &cap in revoked {
+            self.scrub_slots(|space| space.remove_ref(cap));
+        }
+        self.kv.retain(|_, ca| !revoked.contains(&ca.cap));
+    }
+
+    /// Frees the slots `pick` removes from each Process's capability space,
+    /// together with their memory snapshots.
+    fn scrub_slots(&mut self, mut pick: impl FnMut(&mut CapSpace) -> Vec<Cid>) {
         for (proc, space) in self.spaces.iter_mut() {
-            let victims: Vec<Cid> = space
-                .iter()
-                .filter(|(_, cap)| dead.contains(cap))
-                .map(|(cid, _)| cid)
-                .collect();
-            for cid in victims {
-                let _ = space.remove(cid);
+            for cid in pick(space) {
                 self.snaps.remove(&(*proc, cid));
             }
         }
-        self.kv.retain(|_, ca| !dead.contains(&ca.cap));
     }
 
     fn dispatch_monitor_events(&mut self, ctx: &mut Ctx<'_>, events: &[MonitorEvent]) {
@@ -975,7 +978,7 @@ impl ControllerActor {
     // ------------------------------------------------------------------
 
     fn handle_syscall(&mut self, ctx: &mut Ctx<'_>, proc: ProcId, token: u64, sc: Syscall) {
-        ctx.metrics().incr(&format!("ctrl.ops.{}", sc.name()));
+        ctx.metrics().incr(sc.metric_key());
         if self.dead_procs.contains(&proc) {
             return;
         }
@@ -2167,17 +2170,7 @@ impl ControllerActor {
         // managed here (later use yields a typed BadCid verdict, never a
         // silent hang on the dead owner) and from the bootstrap registry,
         // so lookups can never hand out a dead instance's capability.
-        for (proc, space) in self.spaces.iter_mut() {
-            let victims: Vec<Cid> = space
-                .iter()
-                .filter(|(_, cap)| cap.ctrl == peer)
-                .map(|(cid, _)| cid)
-                .collect();
-            for cid in victims {
-                let _ = space.remove(cid);
-                self.snaps.remove(&(*proc, cid));
-            }
-        }
+        self.scrub_slots(|space| space.remove_where(|cap| cap.ctrl == peer));
         self.kv.retain(|_, ca| ca.cap.ctrl != peer);
         self.peer_revocations.push((peer, ctx.now()));
         if ctx.spans_enabled() {
@@ -2231,10 +2224,9 @@ impl Actor for ControllerActor {
                     return;
                 }
                 self.cur = tctx;
-                // Account the arriving syscall's wire size once more is not
-                // needed — the sender already recorded it; just process.
-                let _ = syscall_msg_size(&sc);
-                ctx.trace(format!("{} syscall {} from {}", self.addr, sc.name(), proc));
+                if ctx.trace_enabled() {
+                    ctx.trace(format!("{} syscall {} from {}", self.addr, sc.name(), proc));
+                }
                 self.handle_syscall(ctx, proc, token, sc);
             }
             CtrlMsg::FromPeer {
@@ -2247,12 +2239,14 @@ impl Actor for ControllerActor {
                     return;
                 }
                 self.cur = tctx;
-                ctx.trace(format!(
-                    "{} peer-op from {}: {}",
-                    self.addr,
-                    from,
-                    peer_op_name(&op)
-                ));
+                if ctx.trace_enabled() {
+                    ctx.trace(format!(
+                        "{} peer-op from {}: {}",
+                        self.addr,
+                        from,
+                        peer_op_name(&op)
+                    ));
+                }
                 self.handle_peer(ctx, from, op)
             }
             CtrlMsg::RetransmitProc {

@@ -903,7 +903,9 @@ impl<S: Service> Actor for ProcessActor<S> {
                         self.deliver_reply(token, result);
                     }
                     CtrlToProc::Deliver(req) => {
-                        ctx.trace(format!("{} deliver tag={:#x}", self.proc, req.tag));
+                        if ctx.trace_enabled() {
+                            ctx.trace(format!("{} deliver tag={:#x}", self.proc, req.tag));
+                        }
                         if tctx.is_some() {
                             let t = ctx.span(
                                 SpanKind::Deliver,

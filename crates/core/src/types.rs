@@ -228,6 +228,26 @@ impl Syscall {
             Syscall::KvGet { .. } => "kv_get",
         }
     }
+
+    /// Name of the Controller counter this syscall bumps:
+    /// `ctrl.ops.<name>`, interned so the hot path formats nothing.
+    pub fn metric_key(&self) -> &'static str {
+        match self {
+            Syscall::Null => "ctrl.ops.null",
+            Syscall::MemoryCreate { .. } => "ctrl.ops.memory_create",
+            Syscall::MemoryDiminish { .. } => "ctrl.ops.memory_diminish",
+            Syscall::MemoryCopy { .. } => "ctrl.ops.memory_copy",
+            Syscall::RequestCreate { .. } => "ctrl.ops.request_create",
+            Syscall::RequestInvoke { .. } => "ctrl.ops.request_invoke",
+            Syscall::CapCreateRevtree { .. } => "ctrl.ops.cap_create_revtree",
+            Syscall::CapRevoke { .. } => "ctrl.ops.cap_revoke",
+            Syscall::MonitorDelegate { .. } => "ctrl.ops.monitor_delegate",
+            Syscall::MonitorReceive { .. } => "ctrl.ops.monitor_receive",
+            Syscall::MemoryStat { .. } => "ctrl.ops.memory_stat",
+            Syscall::KvPut { .. } => "ctrl.ops.kv_put",
+            Syscall::KvGet { .. } => "ctrl.ops.kv_get",
+        }
+    }
 }
 
 /// Result of a syscall, delivered asynchronously on the Process's channel.
@@ -415,6 +435,52 @@ mod tests {
             .name(),
             "memory_copy"
         );
+    }
+
+    #[test]
+    fn metric_keys_are_prefixed_names() {
+        let c = Cid(0);
+        let all = [
+            Syscall::Null,
+            Syscall::MemoryCreate {
+                addr: 0,
+                size: 0,
+                perms: Perms::RW,
+            },
+            Syscall::MemoryDiminish {
+                cid: c,
+                offset: 0,
+                size: 0,
+                drop_perms: Perms::RW,
+            },
+            Syscall::MemoryCopy { src: c, dst: c },
+            Syscall::RequestCreate {
+                base: None,
+                tag: 0,
+                imms: vec![],
+                caps: vec![],
+            },
+            Syscall::RequestInvoke { cid: c },
+            Syscall::CapCreateRevtree { cid: c },
+            Syscall::CapRevoke { cid: c },
+            Syscall::MonitorDelegate {
+                cid: c,
+                callback_id: 0,
+            },
+            Syscall::MonitorReceive {
+                cid: c,
+                callback_id: 0,
+            },
+            Syscall::MemoryStat { cid: c },
+            Syscall::KvPut {
+                key: String::new(),
+                cid: c,
+            },
+            Syscall::KvGet { key: String::new() },
+        ];
+        for sc in &all {
+            assert_eq!(sc.metric_key(), format!("ctrl.ops.{}", sc.name()));
+        }
     }
 
     #[test]

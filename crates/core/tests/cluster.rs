@@ -319,6 +319,103 @@ fn revocation_is_immediate_for_data_plane() {
     });
 }
 
+/// A client that fetches the published capabilities `keys`, in order.
+fn fetcher(keys: &'static [&'static str]) -> Script {
+    Script::new(move |_, fos| {
+        for &key in keys {
+            fos.kv_get(key, |s: &mut Script, res, _| s.cids.push(res.cid()));
+        }
+    })
+}
+
+#[test]
+fn revoke_scrubs_exactly_the_holders_of_the_revoked_subtree() {
+    let (mut tb, ctrls) = two_ctrl_testbed();
+    // Owner mints a root buffer, a revtree node under it, and an unrelated
+    // buffer, and publishes all three.
+    let owner = tb.add_process(
+        "owner",
+        cpu(0),
+        ctrls[0],
+        Script::new(|_, fos| {
+            fos.memory_create_new(16, Perms::RW, |s: &mut Script, _a, root, fos| {
+                let root = root.unwrap();
+                s.cids.push(root);
+                fos.kv_put("root", root, |_, res, _| assert!(res.is_ok()));
+                fos.call(
+                    Syscall::CapCreateRevtree { cid: root },
+                    |_, res, fos: &Fos<Script>| {
+                        fos.kv_put("child", res.cid(), |_, res, _| assert!(res.is_ok()));
+                    },
+                );
+                fos.memory_create_new(16, Perms::RW, |_s, _a, other, fos| {
+                    fos.kv_put("other", other.unwrap(), |_, res, _| assert!(res.is_ok()));
+                });
+            });
+        }),
+    );
+    tb.start_process(owner);
+    tb.run();
+    // Holders on the owner's Controller and on its peer, one of them
+    // holding the root twice.
+    let local = tb.add_process("local", cpu(0), ctrls[0], fetcher(&["child", "other"]));
+    let remote = tb.add_process(
+        "remote",
+        cpu(1),
+        ctrls[1],
+        fetcher(&["root", "child", "root", "other"]),
+    );
+    tb.start_process(local);
+    tb.start_process(remote);
+    tb.run();
+
+    // (process, its Controller, slots before, slots in the revoked subtree)
+    let holders = [
+        (owner, ctrls[0], 3, 2),
+        (local, ctrls[0], 2, 1),
+        (remote, ctrls[1], 4, 3),
+    ];
+    for &(p, c, before, _) in &holders {
+        assert_eq!(tb.with_controller(c, |c| c.capspace_len(p)), before);
+    }
+
+    let root = tb.with_service::<Script, _>(owner, |s| s.cids[0]);
+    let fos = tb.fos_of::<Script>(owner);
+    fos.call(Syscall::CapRevoke { cid: root }, |s, res, _| {
+        s.results.push(res)
+    });
+    tb.poke(owner);
+    tb.run();
+    tb.with_service::<Script, _>(owner, |s| {
+        assert_eq!(s.results, vec![SyscallResult::Value(2)]);
+    });
+
+    // Owner-side scrub and the peer's Cleanup drop exactly the subtree's
+    // holdings; the registry keeps only the unrelated entry.
+    for &(p, c, before, revoked) in &holders {
+        assert_eq!(
+            tb.with_controller(c, |c| c.capspace_len(p)),
+            before - revoked,
+            "{p:?} on {c:?}"
+        );
+    }
+    assert_eq!(tb.with_controller(ctrls[0], |c| c.kv_keys()), vec!["other"]);
+
+    // The surviving unrelated capability still works end to end.
+    let other = tb.with_service::<Script, _>(remote, |s| s.cids[3]);
+    let fos = tb.fos_of::<Script>(remote);
+    fos.memory_create_new(16, Perms::RW, move |_s, _a, dst, fos| {
+        fos.memory_copy(other, dst.unwrap(), |s: &mut Script, res, _| {
+            s.results.push(res)
+        });
+    });
+    tb.poke(remote);
+    tb.run();
+    tb.with_service::<Script, _>(remote, |s| {
+        assert_eq!(s.results, vec![SyscallResult::Ok]);
+    });
+}
+
 #[test]
 fn revtree_node_revocation_spares_the_parent() {
     let (mut tb, ctrls) = two_ctrl_testbed();

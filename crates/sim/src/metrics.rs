@@ -349,7 +349,13 @@ impl Metrics {
 
     /// Adds `delta` to the named counter, creating it at zero if absent.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        // Look up before allocating: after its first touch a counter is
+        // bumped on every event, and the key string is only needed once.
+        if let Some(v) = self.counters.get_mut(name) {
+            *v += delta;
+        } else {
+            self.counters.insert(name.to_string(), delta);
+        }
     }
 
     /// Increments the named counter by one.
