@@ -1,10 +1,16 @@
-//! The discrete-event simulation engine.
+//! The discrete-event simulation engine: one event core, two drivers.
 //!
-//! A [`Sim`] owns a set of [`Actor`]s and a time-ordered event queue. Each
-//! event is a dynamically typed message addressed to one actor; handling an
-//! event may enqueue further events through the [`Ctx`] handle. Events at
-//! equal timestamps are delivered in insertion order (FIFO), which together
-//! with the seeded RNG makes whole runs bit-for-bit deterministic.
+//! A `Core` owns the actors of one or more simulated nodes and a
+//! time-ordered event queue. Each event is a dynamically typed message
+//! addressed to one actor; handling an event may enqueue further events
+//! through the [`Ctx`] handle. Events at equal timestamps are delivered in
+//! insertion order (FIFO), which together with the seeded RNG makes whole
+//! runs bit-for-bit deterministic.
+//!
+//! `Core::run_window` is the only event-delivery loop in the crate. The
+//! single-threaded [`Sim`] drives one core holding every actor; the
+//! parallel [`ShardedSim`](crate::sharded::ShardedSim) drives one core per
+//! node between synchronization barriers.
 //!
 //! Messages are `Box<dyn Any>` so that independent crates (network, OS layer,
 //! devices) can define their own message types without a shared enum; actors
@@ -16,13 +22,14 @@ use std::fmt;
 use crate::metrics::Metrics;
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
+use crate::runtime::Runtime;
 use crate::span::{sort_canonical, SpanKind, SpanRecord, SpanStore, TraceCtx};
 use crate::telemetry::{
     sort_canonical_telemetry, TelemetryEvent, TelemetryKind, TelemetryStore, TELEMETRY_EXTERNAL,
 };
 use crate::time::{SimDuration, SimTime};
 
-/// Identifies an actor registered with a [`Sim`].
+/// Identifies an actor registered with a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub(crate) u32);
 
@@ -34,7 +41,7 @@ impl ActorId {
 
     /// Builds an id from a raw index.
     ///
-    /// Only meaningful for ids that came from [`Sim::add_actor`] (or in
+    /// Only meaningful for ids that came from [`Runtime::add_actor`] (or in
     /// tests that wire ids by hand); posting to a fabricated id panics.
     pub const fn from_raw(index: u32) -> Self {
         ActorId(index)
@@ -56,8 +63,8 @@ pub type Msg = Box<dyn Any + Send>;
 /// An entity that handles timestamped messages.
 ///
 /// The `Any` supertrait allows harnesses to inspect concrete actor state
-/// after a run via [`Sim::with_actor`]. `Send` lets runtime backends host
-/// actors on worker threads.
+/// after a run via [`RuntimeExt::with_actor`](crate::RuntimeExt::with_actor).
+/// `Send` lets runtime backends host actors on worker threads.
 pub trait Actor: Any + Send {
     /// Handles one message delivered at `ctx.now()`.
     fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_>);
@@ -81,32 +88,6 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Assembles a context for one event delivery (runtime backends only).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        now: SimTime,
-        self_id: ActorId,
-        outbox: &'a mut Vec<(SimTime, ActorId, Msg)>,
-        rng: &'a mut SimRng,
-        metrics: &'a mut Metrics,
-        trace: &'a mut Option<Vec<TraceEntry>>,
-        spans: &'a mut Option<SpanStore>,
-        telemetry: &'a mut Option<TelemetryStore>,
-        stop: &'a mut bool,
-    ) -> Self {
-        Ctx {
-            now,
-            self_id,
-            outbox,
-            rng,
-            metrics,
-            trace,
-            spans,
-            telemetry,
-            stop,
-        }
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -301,54 +282,101 @@ pub enum RunOutcome {
     Stopped,
 }
 
-/// The discrete-event simulator.
-pub struct Sim {
+/// Where an actor lives: the core that hosts it and its slot there.
+#[derive(Clone, Copy)]
+pub(crate) struct Loc {
+    pub(crate) core: u32,
+    pub(crate) local: u32,
+}
+
+/// Engine self-profiling names under a core's `runtime.single` or
+/// `runtime.shard{i}` prefix, built once per core so neither the boundary
+/// sampler nor the sharded barrier formats a key per sample.
+pub(crate) struct ProfileNames {
+    depth: String,
+    occupied: String,
+    far: String,
+    events: String,
+    depth_peak: String,
+    occupied_peak: String,
+    far_peak: String,
+    /// Rounds in which the core processed nothing (sharded driver only).
+    pub(crate) stalled_rounds: String,
+    /// Events processed in non-stalled rounds (sharded driver only).
+    pub(crate) busy_events: String,
+}
+
+impl ProfileNames {
+    fn new(prefix: &str) -> Self {
+        let name = |suffix: &str| format!("{prefix}.{suffix}");
+        ProfileNames {
+            depth: name("queue.depth"),
+            occupied: name("wheel.occupied"),
+            far: name("wheel.far"),
+            events: name("events"),
+            depth_peak: name("queue.depth_peak"),
+            occupied_peak: name("wheel.occupied_peak"),
+            far_peak: name("wheel.far_peak"),
+            stalled_rounds: name("stalled_rounds"),
+            busy_events: name("busy_events"),
+        }
+    }
+}
+
+/// The per-node event core both runtime backends run on: the actors it
+/// hosts, their event queue, and everything a delivery touches.
+pub(crate) struct Core {
+    /// Pending events; the payload carries the destination's local slot
+    /// next to its global id (kept for errors and `Ctx::self_id`).
+    pub(crate) queue: EventQueue<(u32, ActorId, Msg)>,
     actors: Vec<Option<Box<dyn Actor>>>,
-    names: Vec<String>,
-    /// Simulated node of each actor (parallel to `actors`). The single
-    /// global queue ignores placement for scheduling; it only scopes
-    /// node-outage windows.
+    /// Simulated node of each hosted actor (parallel to `actors`); it only
+    /// scopes node-outage windows.
     nodes: Vec<u32>,
     /// Node-down windows (crash faults); empty on fault-free runs.
-    outages: Vec<NodeOutage>,
-    queue: EventQueue<(ActorId, Msg)>,
-    now: SimTime,
-    seq: u64,
-    steps: u64,
-    seed: u64,
+    pub(crate) outages: Vec<NodeOutage>,
     rng: SimRng,
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
     trace: Option<Vec<TraceEntry>>,
     spans: Option<SpanStore>,
     telemetry: Option<TelemetryStore>,
-    /// Sampling period for engine self-profiling boundary ticks; `Some`
-    /// exactly when `telemetry` is.
+    /// Self-profiling sampling period; `Some` exactly when `telemetry` is.
     telemetry_period: Option<SimDuration>,
     /// Last self-profiling window emitted (window index = time / period).
     tele_window: Option<u64>,
     /// `steps` at the last self-profiling emission (events/window deltas).
     tele_steps: u64,
-    /// Reusable send buffer for [`step`](Sim::step): drained back to empty
-    /// after every event so the per-event cost is a pointer swap, not a
-    /// heap allocation.
+    pub(crate) series: ProfileNames,
+    /// Span ids derive from `(seed, actor, per-actor counter)`, so every
+    /// core's store shares the run seed and ids match across backends.
+    seed: u64,
+    pub(crate) now: SimTime,
+    seq: u64,
+    /// Lifetime events processed.
+    pub(crate) steps: u64,
+    /// Events processed by the latest [`run_window`](Core::run_window).
+    pub(crate) processed: u64,
+    pub(crate) stop: bool,
+    /// Sends to actors on other cores, buffered until the sharded barrier
+    /// as `(sent_at, arrival, dst, msg)`; the send instant lets the barrier
+    /// check each message against its link's lookahead on the main thread
+    /// (so a violation panics with a diagnostic instead of a bare "scoped
+    /// thread panicked").
+    pub(crate) cross: Vec<(SimTime, SimTime, ActorId, Msg)>,
+    /// Reusable send buffer: drained back to empty after every event so
+    /// the per-event cost is a pointer swap, not a heap allocation.
     scratch_outbox: Vec<(SimTime, ActorId, Msg)>,
-    stop: bool,
 }
 
-impl Sim {
-    /// Creates an empty simulation with the given RNG seed.
-    pub fn new(seed: u64) -> Self {
-        Sim {
+impl Core {
+    /// An empty core drawing from `rng`, profiling under `prefix`.
+    pub(crate) fn new(rng: SimRng, seed: u64, prefix: &str) -> Self {
+        Core {
+            queue: EventQueue::new(),
             actors: Vec::new(),
-            names: Vec::new(),
             nodes: Vec::new(),
             outages: Vec::new(),
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            steps: 0,
-            seed,
-            rng: SimRng::new(seed),
+            rng,
             metrics: Metrics::new(),
             trace: None,
             spans: None,
@@ -356,83 +384,155 @@ impl Sim {
             telemetry_period: None,
             tele_window: None,
             tele_steps: 0,
-            scratch_outbox: Vec::new(),
+            series: ProfileNames::new(prefix),
+            seed,
+            now: SimTime::ZERO,
+            seq: 0,
+            steps: 0,
+            processed: 0,
             stop: false,
+            cross: Vec::new(),
+            scratch_outbox: Vec::new(),
         }
     }
 
-    /// Enables trace recording (see [`Sim::take_trace`]).
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
+    /// Hosts `actor` (placed on simulated `node`) and returns its slot.
+    pub(crate) fn add_actor(&mut self, node: usize, actor: Box<dyn Actor>) -> u32 {
+        let local = u32::try_from(self.actors.len()).expect("too many actors on one core");
+        self.actors.push(Some(actor));
+        self.nodes
+            .push(u32::try_from(node).expect("node out of range"));
+        local
     }
 
-    /// Takes the recorded trace, leaving recording enabled.
+    /// Enqueues `msg` for the actor in slot `local` at `time`.
+    pub(crate) fn push(&mut self, time: SimTime, local: u32, dst: ActorId, msg: Msg) {
+        self.queue.push(time, self.seq, (local, dst, msg));
+        self.seq += 1;
+    }
+
+    /// Timestamp of the earliest pending event.
+    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
+        self.queue.peek_key().map(|(t, _)| t)
+    }
+
+    /// Delivers pending events in `(time, seq)` order: only those strictly
+    /// before `horizon` (all of them when `None`), at most `budget`, and
+    /// none after an actor requests a stop. Sends to actors on core `me`
+    /// enqueue here; any other destination is buffered in `cross`.
     ///
-    /// Entries are returned sorted by `(time, actor, label)` — the canonical
-    /// order shared by every runtime backend, so equal workloads at equal
-    /// seeds yield equal traces regardless of the engine that ran them.
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        let mut entries = self.trace.replace(Vec::new()).unwrap_or_default();
-        entries.sort_by(|a, b| (a.time, a.actor, &a.label).cmp(&(b.time, b.actor, &b.label)));
-        entries
-    }
+    /// # Panics
+    ///
+    /// Panics if an event addresses an actor that was never registered (a
+    /// wiring bug) or re-enters an actor currently on the stack (actors
+    /// never send to themselves synchronously by construction).
+    // analyze: hot-path
+    pub(crate) fn run_window(
+        &mut self,
+        horizon: Option<SimTime>,
+        budget: u64,
+        locs: &[Loc],
+        me: u32,
+    ) {
+        let start = self.steps;
+        while self.steps - start < budget && !self.stop {
+            // Only a bounded window peeks: the unbounded one pops once per
+            // event, like a plain event loop.
+            if let Some(h) = horizon {
+                if self.queue.peek_key().is_none_or(|(t, _)| t >= h) {
+                    break;
+                }
+            }
+            let Some((time, _seq, (local, dst, msg))) = self.queue.pop() else {
+                break;
+            };
+            debug_assert!(
+                time >= self.now,
+                "event queue went back in time: popped {time} < now {now}",
+                now = self.now,
+            );
+            self.now = time;
+            self.steps += 1;
+            if self.telemetry_period.is_some() {
+                self.telemetry_boundary(time);
+            }
 
-    /// Enables causal span recording (see [`Sim::take_spans`]).
-    pub fn enable_spans(&mut self) {
-        if self.spans.is_none() {
-            self.spans = Some(SpanStore::new(self.seed));
+            // A delivery inside a node-down window is lost: the crashed
+            // node's actors stop receiving. The event still advances time
+            // and counts as a step (progress), it just never reaches a
+            // handler.
+            let slot = local as usize;
+            if !self.outages.is_empty() {
+                let node = self.nodes[slot] as usize;
+                if self
+                    .outages
+                    .iter()
+                    .any(|o| o.node == node && o.drops_at(time))
+                {
+                    self.metrics.incr("engine.outage_drops");
+                    continue;
+                }
+            }
+
+            // Temporarily take the actor out of its slot so the context can
+            // borrow the rest of the core mutably.
+            let mut actor = self.actors[slot]
+                .take()
+                .unwrap_or_else(|| panic!("re-entrant or missing {dst}"));
+            let mut outbox = std::mem::take(&mut self.scratch_outbox);
+            {
+                let mut ctx = Ctx {
+                    now: time,
+                    self_id: dst,
+                    outbox: &mut outbox,
+                    rng: &mut self.rng,
+                    metrics: &mut self.metrics,
+                    trace: &mut self.trace,
+                    spans: &mut self.spans,
+                    telemetry: &mut self.telemetry,
+                    stop: &mut self.stop,
+                };
+                actor.handle(msg, &mut ctx);
+            }
+            self.actors[slot] = Some(actor);
+            for (at, to, msg) in outbox.drain(..) {
+                let loc = *locs
+                    .get(to.index())
+                    .unwrap_or_else(|| panic!("send to unregistered {to}"));
+                if loc.core == me {
+                    self.push(at, loc.local, to, msg);
+                } else {
+                    self.cross.push((time, at, to, msg));
+                }
+            }
+            self.scratch_outbox = outbox;
         }
+        self.processed = self.steps - start;
     }
 
-    /// Takes the recorded spans in canonical `(start, end, actor, ord)`
-    /// order, leaving recording enabled.
-    pub fn take_spans(&mut self) -> Vec<SpanRecord> {
-        let mut spans = match self.spans.as_mut() {
-            Some(store) => store.take(),
-            None => Vec::new(),
-        };
-        sort_canonical(&mut spans);
-        spans
-    }
-
-    /// Enables telemetry recording with the given sampling period (see
-    /// [`Sim::take_telemetry`]). Off by default; while disabled, recording
-    /// is a no-op that neither allocates nor perturbs the RNG stream, so
-    /// disabled runs behave bit-identically to builds without the
-    /// subsystem.
-    pub fn enable_telemetry(&mut self, period: SimDuration) {
-        assert!(period > SimDuration::ZERO, "telemetry period must be > 0");
-        if self.telemetry.is_none() {
-            self.telemetry = Some(TelemetryStore::new());
+    /// Drives this core alone, as the single-threaded engine does: one
+    /// window, then the outcome a stop, an empty queue or a spent limit
+    /// leaves.
+    fn run_alone(&mut self, horizon: Option<SimTime>, budget: u64, locs: &[Loc]) -> RunOutcome {
+        self.stop = false;
+        self.run_window(horizon, budget, locs, 0);
+        if self.stop {
+            RunOutcome::Stopped
+        } else if self.queue.is_empty() {
+            RunOutcome::Drained
+        } else {
+            RunOutcome::LimitReached
         }
-        self.telemetry_period = Some(period);
-    }
-
-    /// The telemetry sampling period, or `None` while the plane is off.
-    pub fn telemetry_period(&self) -> Option<SimDuration> {
-        self.telemetry_period
-    }
-
-    /// Takes the recorded telemetry events in the canonical
-    /// `(time, series, actor, ord)` order, leaving recording enabled.
-    pub fn take_telemetry(&mut self) -> Vec<TelemetryEvent> {
-        let mut events = match self.telemetry.as_mut() {
-            Some(store) => store.take(),
-            None => Vec::new(),
-        };
-        sort_canonical_telemetry(&mut events);
-        events
     }
 
     /// Engine self-profiling: when an event crosses a sampling-period
-    /// boundary, record scheduler gauges (queue depth, timing-wheel
-    /// bucket occupancy, overflow-heap size) and the events-per-window
-    /// delta under the backend-specific `runtime.` series namespace.
-    /// Exporters exclude that namespace from cross-backend artifacts.
+    /// boundary, record scheduler gauges (queue depth, timing-wheel bucket
+    /// occupancy, overflow-heap size) and the events-per-window delta under
+    /// the core's backend-specific `runtime.` series namespace, and raise
+    /// the sampled peak counters. Exporters exclude that namespace from
+    /// cross-backend artifacts.
     fn telemetry_boundary(&mut self, time: SimTime) {
-        let Some(period) = self.telemetry_period else {
+        let (Some(period), Some(store)) = (self.telemetry_period, self.telemetry.as_mut()) else {
             return;
         };
         let w = time.as_nanos() / period.as_nanos().max(1);
@@ -446,25 +546,19 @@ impl Sim {
         let far = self.queue.far_len() as u64;
         let events = self.steps - self.tele_steps;
         self.tele_steps = self.steps;
-        // `telemetry_period` is only ever set together with the store.
-        let Some(store) = self.telemetry.as_mut() else {
-            return;
-        };
-        let mut emit = |series: &str, kind: TelemetryKind| {
-            store.record(TELEMETRY_EXTERNAL, at, series.to_string(), kind);
-        };
-        emit("runtime.single.queue.depth", TelemetryKind::Gauge(depth));
-        emit(
-            "runtime.single.wheel.occupied",
-            TelemetryKind::Gauge(occupied),
-        );
-        emit("runtime.single.wheel.far", TelemetryKind::Gauge(far));
-        emit("runtime.single.events", TelemetryKind::Count(events));
-        // Sampled scheduler peaks for the post-run profile table.
+        let names = &self.series;
+        for (series, kind) in [
+            (&names.depth, TelemetryKind::Gauge(depth)),
+            (&names.occupied, TelemetryKind::Gauge(occupied)),
+            (&names.far, TelemetryKind::Gauge(far)),
+            (&names.events, TelemetryKind::Count(events)),
+        ] {
+            store.record(TELEMETRY_EXTERNAL, at, series.clone(), kind);
+        }
         for (name, v) in [
-            ("runtime.single.wheel.occupied_peak", occupied),
-            ("runtime.single.wheel.far_peak", far),
-            ("runtime.single.queue.depth_peak", depth),
+            (&names.occupied_peak, occupied),
+            (&names.far_peak, far),
+            (&names.depth_peak, depth),
         ] {
             let prev = self.metrics.counter(name);
             if v > prev {
@@ -473,235 +567,211 @@ impl Sim {
         }
     }
 
-    /// Registers an actor (on node 0) and returns its id.
-    pub fn add_actor(&mut self, name: impl Into<String>, actor: Box<dyn Actor>) -> ActorId {
-        self.add_actor_on(0, name, actor)
+    pub(crate) fn enable_trace(&mut self) {
+        self.trace.get_or_insert_with(Vec::new);
     }
 
-    /// Registers an actor on a simulated node. Placement has no effect on
-    /// scheduling (one global queue); it scopes node-outage windows.
-    pub fn add_actor_on(
+    pub(crate) fn enable_spans(&mut self) {
+        let seed = self.seed;
+        self.spans.get_or_insert_with(|| SpanStore::new(seed));
+    }
+
+    pub(crate) fn enable_telemetry(&mut self, period: SimDuration) {
+        assert!(period > SimDuration::ZERO, "telemetry period must be > 0");
+        self.telemetry.get_or_insert_with(TelemetryStore::new);
+        self.telemetry_period = Some(period);
+    }
+
+    pub(crate) fn telemetry_period(&self) -> Option<SimDuration> {
+        self.telemetry_period
+    }
+
+    pub(crate) fn with_actor_any(
         &mut self,
-        node: usize,
-        name: impl Into<String>,
-        actor: Box<dyn Actor>,
-    ) -> ActorId {
-        let id = ActorId(u32::try_from(self.actors.len()).expect("too many actors"));
-        self.actors.push(Some(actor));
-        self.names.push(name.into());
-        self.nodes
-            .push(u32::try_from(node).expect("node out of range"));
-        id
-    }
-
-    /// Installs node-down windows (crash faults). Deliveries to actors on
-    /// a down node are discarded — see [`NodeOutage::drops_at`]. An empty
-    /// list (the default) leaves the engine bit-identical to builds
-    /// without the hook.
-    pub fn set_node_outages(&mut self, outages: Vec<NodeOutage>) {
-        self.outages = outages;
-    }
-
-    /// Returns the registered name of an actor.
-    pub fn actor_name(&self, id: ActorId) -> &str {
-        &self.names[id.index()]
-    }
-
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total events processed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The metric registry (read results after a run).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable access to the metric registry.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
-    /// Enqueues a message to `dst` at `now + delay` from outside any actor.
-    pub fn post(&mut self, delay: SimDuration, dst: ActorId, msg: impl Any + Send) {
-        self.post_boxed(delay, dst, Box::new(msg));
-    }
-
-    /// Enqueues a pre-boxed message (saturating at the end of the virtual
-    /// timeline, like [`Ctx::send_after`]).
-    pub fn post_boxed(&mut self, delay: SimDuration, dst: ActorId, msg: Msg) {
-        assert!(
-            dst.index() < self.actors.len(),
-            "post to unregistered {dst}"
-        );
-        let time = self.now.saturating_add(delay);
-        self.queue.push(time, self.seq, (dst, msg));
-        self.seq += 1;
-    }
-
-    /// Processes a single event. Returns `false` if the queue was empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event addresses an actor slot that was never registered
-    /// (a wiring bug) or re-enters an actor currently on the stack (actors
-    /// never send to themselves synchronously by construction).
-    // analyze: hot-path
-    pub fn step(&mut self) -> bool {
-        let Some((time, _seq, (dst, msg))) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(time >= self.now, "event queue went back in time");
-        self.now = time;
-        self.steps += 1;
-        if self.telemetry_period.is_some() {
-            self.telemetry_boundary(time);
-        }
-
-        // A delivery inside a node-down window is lost: the crashed node's
-        // actors stop receiving. The event still advances time and counts
-        // as a step (progress), it just never reaches a handler.
-        if !self.outages.is_empty() {
-            let node = self.nodes[dst.index()] as usize;
-            if self
-                .outages
-                .iter()
-                .any(|o| o.node == node && o.drops_at(time))
-            {
-                self.metrics.incr("engine.outage_drops");
-                return true;
-            }
-        }
-
-        // Temporarily take the actor out of its slot so the context can
-        // borrow the rest of the simulation mutably.
-        let mut actor = self.actors[dst.index()]
-            .take()
-            .unwrap_or_else(|| panic!("re-entrant or missing {dst}"));
-        let mut outbox = std::mem::take(&mut self.scratch_outbox);
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: dst,
-                outbox: &mut outbox,
-                rng: &mut self.rng,
-                metrics: &mut self.metrics,
-                trace: &mut self.trace,
-                spans: &mut self.spans,
-                telemetry: &mut self.telemetry,
-                stop: &mut self.stop,
-            };
-            actor.handle(msg, &mut ctx);
-        }
-        self.actors[dst.index()] = Some(actor);
-        for (time, dst, msg) in outbox.drain(..) {
-            assert!(
-                dst.index() < self.actors.len(),
-                "send to unregistered {dst}"
-            );
-            self.queue.push(time, self.seq, (dst, msg));
-            self.seq += 1;
-        }
-        self.scratch_outbox = outbox;
-        true
-    }
-
-    /// Runs until the queue drains, a step limit is hit, or an actor stops
-    /// the simulation.
-    pub fn run(&mut self) -> RunOutcome {
-        self.run_with_limit(u64::MAX)
-    }
-
-    /// Runs for at most `max_steps` events.
-    pub fn run_with_limit(&mut self, max_steps: u64) -> RunOutcome {
-        self.stop = false;
-        for _ in 0..max_steps {
-            if self.stop {
-                return RunOutcome::Stopped;
-            }
-            if !self.step() {
-                return RunOutcome::Drained;
-            }
-        }
-        if self.queue.is_empty() {
-            RunOutcome::Drained
-        } else {
-            RunOutcome::LimitReached
-        }
-    }
-
-    /// Runs until virtual time exceeds `deadline` or the queue drains.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.stop = false;
-        loop {
-            if self.stop {
-                return RunOutcome::Stopped;
-            }
-            match self.queue.peek_key() {
-                None => return RunOutcome::Drained,
-                Some((time, _)) if time > deadline => return RunOutcome::LimitReached,
-                Some(_) => {
-                    self.step();
-                }
-            }
-        }
-    }
-
-    /// Gives temporary mutable access to a registered actor between events.
-    ///
-    /// Useful for tests and harnesses that inspect actor state after a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the actor is not of type `T`.
-    pub fn with_actor<T: Actor + 'static, R>(
-        &mut self,
+        local: u32,
         id: ActorId,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> R {
-        let actor = self.actors[id.index()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("missing {id}"));
-        let any: &mut dyn Any = actor.as_mut();
-        let t = any
-            .downcast_mut::<T>()
-            .unwrap_or_else(|| panic!("actor {id} is not the requested type"));
-        f(t)
-    }
-
-    /// Invokes `f` with the actor's `dyn Any` form (object-safe counterpart
-    /// of [`Sim::with_actor`], used by the [`Runtime`](crate::Runtime)
-    /// impl).
-    pub fn with_actor_any(&mut self, id: ActorId, f: &mut dyn FnMut(&mut dyn Any)) {
-        let actor = self.actors[id.index()]
+        f: &mut dyn FnMut(&mut dyn Any),
+    ) {
+        let actor = self.actors[local as usize]
             .as_mut()
             .unwrap_or_else(|| panic!("missing {id}"));
         f(actor.as_mut());
     }
 }
 
+/// Takes every core's recorded trace, merged into the canonical
+/// `(time, actor, label)` order: no global total order exists across
+/// cores, so equal workloads yield equal traces on every backend.
+pub(crate) fn take_trace(cores: &mut [Core]) -> Vec<TraceEntry> {
+    let mut all = Vec::new();
+    for c in cores {
+        if let Some(t) = c.trace.as_mut() {
+            all.append(t);
+        }
+    }
+    all.sort_by(|a, b| (a.time, a.actor, &a.label).cmp(&(b.time, b.actor, &b.label)));
+    all
+}
+
+/// Takes every core's spans in the canonical `(start, end, actor, ord)`
+/// order.
+pub(crate) fn take_spans(cores: &mut [Core]) -> Vec<SpanRecord> {
+    let mut all = Vec::new();
+    for c in cores {
+        if let Some(store) = c.spans.as_mut() {
+            all.append(&mut store.take());
+        }
+    }
+    sort_canonical(&mut all);
+    all
+}
+
+/// Takes every core's telemetry events in the canonical `(time, series,
+/// actor, ord)` order.
+pub(crate) fn take_telemetry(cores: &mut [Core]) -> Vec<TelemetryEvent> {
+    let mut all = Vec::new();
+    for c in cores {
+        if let Some(store) = c.telemetry.as_mut() {
+            all.append(&mut store.take());
+        }
+    }
+    sort_canonical_telemetry(&mut all);
+    all
+}
+
+/// The single-threaded discrete-event simulator: one event core hosting
+/// every actor, driven with no synchronization. Placement has no effect on
+/// scheduling; it only scopes node-outage windows.
+pub struct Sim {
+    core: Core,
+    locs: Vec<Loc>,
+    names: Vec<String>,
+}
+
+impl Sim {
+    /// Creates an empty simulation with the given RNG seed.
+    pub fn new(seed: u64) -> Self {
+        Sim {
+            core: Core::new(SimRng::new(seed), seed, "runtime.single"),
+            locs: Vec::new(),
+            names: Vec::new(),
+        }
+    }
+}
+
+impl Runtime for Sim {
+    fn add_actor(&mut self, name: &str, actor: Box<dyn Actor>) -> ActorId {
+        self.add_actor_on(0, name, actor)
+    }
+
+    fn add_actor_on(&mut self, node: usize, name: &str, actor: Box<dyn Actor>) -> ActorId {
+        let id = ActorId(u32::try_from(self.locs.len()).expect("too many actors"));
+        let local = self.core.add_actor(node, actor);
+        self.locs.push(Loc { core: 0, local });
+        self.names.push(name.to_string());
+        id
+    }
+
+    fn post_boxed(&mut self, delay: SimDuration, dst: ActorId, msg: Msg) {
+        let loc = *self
+            .locs
+            .get(dst.index())
+            .unwrap_or_else(|| panic!("post to unregistered {dst}"));
+        let time = self.core.now.saturating_add(delay);
+        self.core.push(time, loc.local, dst, msg);
+    }
+
+    fn run(&mut self) -> RunOutcome {
+        self.core.run_alone(None, u64::MAX, &self.locs)
+    }
+
+    fn run_with_limit(&mut self, max_steps: u64) -> RunOutcome {
+        self.core.run_alone(None, max_steps, &self.locs)
+    }
+
+    fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
+        // The window is exclusive; an inclusive deadline caps it one
+        // nanosecond past (unbounded at the end of the timeline).
+        let horizon = deadline.checked_add(SimDuration::from_nanos(1));
+        self.core.run_alone(horizon, u64::MAX, &self.locs)
+    }
+
+    fn now(&self) -> SimTime {
+        self.core.now
+    }
+
+    fn steps(&self) -> u64 {
+        self.core.steps
+    }
+
+    fn pending(&self) -> usize {
+        self.core.queue.len()
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.core.metrics
+    }
+
+    fn metrics_mut(&mut self) -> &mut Metrics {
+        &mut self.core.metrics
+    }
+
+    fn actor_name(&self, id: ActorId) -> &str {
+        &self.names[id.index()]
+    }
+
+    fn actor_count(&self) -> usize {
+        self.locs.len()
+    }
+
+    fn enable_trace(&mut self) {
+        self.core.enable_trace();
+    }
+
+    fn take_trace(&mut self) -> Vec<TraceEntry> {
+        take_trace(std::slice::from_mut(&mut self.core))
+    }
+
+    fn enable_spans(&mut self) {
+        self.core.enable_spans();
+    }
+
+    fn take_spans(&mut self) -> Vec<SpanRecord> {
+        take_spans(std::slice::from_mut(&mut self.core))
+    }
+
+    fn enable_telemetry(&mut self, period: SimDuration) {
+        self.core.enable_telemetry(period);
+    }
+
+    fn telemetry_period(&self) -> Option<SimDuration> {
+        self.core.telemetry_period()
+    }
+
+    fn take_telemetry(&mut self) -> Vec<TelemetryEvent> {
+        take_telemetry(std::slice::from_mut(&mut self.core))
+    }
+
+    fn with_actor_any(&mut self, id: ActorId, f: &mut dyn FnMut(&mut dyn Any)) {
+        self.core.with_actor_any(self.locs[id.index()].local, id, f);
+    }
+
+    fn set_node_outages(&mut self, outages: Vec<NodeOutage>) {
+        self.core.outages = outages;
+    }
+
+    fn backend_name(&self) -> &'static str {
+        "single"
+    }
+}
+
 impl fmt::Debug for Sim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sim")
-            .field("now", &self.now)
-            .field("actors", &self.actors.len())
-            .field("pending", &self.queue.len())
-            .field("steps", &self.steps)
+            .field("now", &self.core.now)
+            .field("actors", &self.locs.len())
+            .field("pending", &self.core.queue.len())
+            .field("steps", &self.core.steps)
             .finish()
     }
 }
@@ -709,6 +779,7 @@ impl fmt::Debug for Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::RuntimeExt;
 
     struct Echo {
         received: Vec<(SimTime, u32)>,

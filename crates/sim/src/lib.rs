@@ -12,7 +12,7 @@
 //! # Examples
 //!
 //! ```
-//! use fractos_sim::{Actor, Ctx, Msg, Sim, SimDuration};
+//! use fractos_sim::{Actor, Ctx, Msg, Runtime, RuntimeExt, Sim, SimDuration};
 //!
 //! struct Counter(u64);
 //! impl Actor for Counter {

@@ -4,13 +4,16 @@
 //! device adaptors, services, baselines, and the bench harness — drives the
 //! simulation exclusively through the [`Runtime`] trait: actor registration,
 //! message posting, the virtual clock, seeded randomness (via [`crate::Ctx`]),
-//! metrics, and tracing. Two backends implement it:
+//! metrics, and tracing. Two drivers implement it over one event core
+//! (see [`crate::engine`]): the delivery loop, the recording stores and
+//! the engine self-profile are shared, so both backends deliver, record
+//! and stop identically.
 //!
-//! * [`Sim`] — the single-threaded engine. One global event queue, FIFO at
-//!   equal timestamps, bit-exact determinism: the same seed always yields
-//!   the identical event trace. This is the default.
-//! * [`ShardedSim`](crate::sharded::ShardedSim) — a parallel engine with
-//!   one shard per simulated node, synchronized by per-link channel
+//! * [`Sim`] — the single-threaded driver: one core hosting every actor,
+//!   FIFO at equal timestamps, bit-exact determinism: the same seed always
+//!   yields the identical event trace. This is the default.
+//! * [`ShardedSim`](crate::sharded::ShardedSim) — the parallel driver:
+//!   one core per simulated node, synchronized by per-link channel
 //!   lookahead (Chandy–Misra–Bryant style; see its module docs).
 //!   Deterministic for a fixed seed and shard layout; per-link
 //!   traffic counters and application payloads match the single-threaded
@@ -41,7 +44,8 @@ pub trait Runtime {
     ///
     /// Placement is the unit of parallelism: the sharded backend runs each
     /// node's actors on one shard, so only cross-node messages pay barrier
-    /// synchronization. The single-threaded backend ignores placement.
+    /// synchronization. On the single-threaded backend placement only
+    /// scopes node-outage windows.
     fn add_actor_on(&mut self, node: usize, name: &str, actor: Box<dyn Actor>) -> ActorId;
 
     /// Enqueues a pre-boxed message to `dst` at `now + delay` from outside
@@ -178,102 +182,6 @@ pub trait RuntimeExt: Runtime {
 
 impl<R: Runtime + ?Sized> RuntimeExt for R {}
 
-impl Runtime for Sim {
-    fn add_actor(&mut self, name: &str, actor: Box<dyn Actor>) -> ActorId {
-        Sim::add_actor(self, name, actor)
-    }
-
-    fn add_actor_on(&mut self, node: usize, name: &str, actor: Box<dyn Actor>) -> ActorId {
-        // One global queue: placement has no effect on scheduling — it only
-        // scopes node-outage (crash) windows.
-        Sim::add_actor_on(self, node, name, actor)
-    }
-
-    fn post_boxed(&mut self, delay: SimDuration, dst: ActorId, msg: Msg) {
-        Sim::post_boxed(self, delay, dst, msg);
-    }
-
-    fn run(&mut self) -> RunOutcome {
-        Sim::run(self)
-    }
-
-    fn run_with_limit(&mut self, max_steps: u64) -> RunOutcome {
-        Sim::run_with_limit(self, max_steps)
-    }
-
-    fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        Sim::run_until(self, deadline)
-    }
-
-    fn now(&self) -> SimTime {
-        Sim::now(self)
-    }
-
-    fn steps(&self) -> u64 {
-        Sim::steps(self)
-    }
-
-    fn pending(&self) -> usize {
-        Sim::pending(self)
-    }
-
-    fn metrics(&self) -> &Metrics {
-        Sim::metrics(self)
-    }
-
-    fn metrics_mut(&mut self) -> &mut Metrics {
-        Sim::metrics_mut(self)
-    }
-
-    fn actor_name(&self, id: ActorId) -> &str {
-        Sim::actor_name(self, id)
-    }
-
-    fn actor_count(&self) -> usize {
-        Sim::actor_count(self)
-    }
-
-    fn enable_trace(&mut self) {
-        Sim::enable_trace(self);
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceEntry> {
-        Sim::take_trace(self)
-    }
-
-    fn enable_spans(&mut self) {
-        Sim::enable_spans(self);
-    }
-
-    fn take_spans(&mut self) -> Vec<SpanRecord> {
-        Sim::take_spans(self)
-    }
-
-    fn enable_telemetry(&mut self, period: SimDuration) {
-        Sim::enable_telemetry(self, period);
-    }
-
-    fn telemetry_period(&self) -> Option<SimDuration> {
-        Sim::telemetry_period(self)
-    }
-
-    fn take_telemetry(&mut self) -> Vec<TelemetryEvent> {
-        Sim::take_telemetry(self)
-    }
-
-    fn with_actor_any(&mut self, id: ActorId, f: &mut dyn FnMut(&mut dyn Any)) {
-        Sim::with_actor_any(self, id, f);
-    }
-
-    fn set_node_outages(&mut self, outages: Vec<NodeOutage>) {
-        Sim::set_node_outages(self, outages);
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "single"
-    }
-}
-
 /// Which engine backs a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeKind {
@@ -383,6 +291,104 @@ mod tests {
         assert_eq!(rt.with_actor::<Counter, _>(id, |c| c.0), 2);
         assert_eq!(rt.backend_name(), "single");
         assert_eq!(rt.steps(), 2);
+    }
+
+    const BACKENDS: [RuntimeKind; 2] = [RuntimeKind::SingleThreaded, RuntimeKind::Sharded];
+
+    fn two_node_runtime(kind: RuntimeKind) -> Box<dyn Runtime> {
+        build_runtime(kind, &RuntimeConfig::new(5, 2, SimDuration::from_micros(2)))
+    }
+
+    struct Stopper;
+    impl Actor for Stopper {
+        fn handle(&mut self, _msg: Msg, ctx: &mut Ctx<'_>) {
+            ctx.stop();
+        }
+    }
+
+    #[test]
+    fn stop_on_the_last_budgeted_event_reports_stopped_on_both_backends() {
+        for kind in BACKENDS {
+            let mut rt = two_node_runtime(kind);
+            let a = rt.add_actor_on(0, "stop", Box::new(Stopper));
+            rt.post(SimDuration::ZERO, a, ());
+            rt.post(SimDuration::from_micros(1), a, ());
+            assert_eq!(rt.run_with_limit(1), RunOutcome::Stopped, "{kind:?}");
+            assert_eq!(rt.pending(), 1, "{kind:?}");
+        }
+    }
+
+    /// Passes a countdown to its peer, one 5 µs hop per decrement.
+    struct Ping(Option<ActorId>);
+    impl Actor for Ping {
+        fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+            let v = *msg.downcast::<u32>().expect("u32 countdown");
+            if let (Some(peer), true) = (self.0, v > 0) {
+                ctx.send_after(SimDuration::from_micros(5), peer, v - 1);
+            }
+        }
+    }
+
+    #[test]
+    fn engine_self_profile_series_are_pinned_on_both_backends() {
+        for (kind, prefixes) in [
+            (RuntimeKind::SingleThreaded, &["runtime.single"][..]),
+            (
+                RuntimeKind::Sharded,
+                &["runtime.shard0", "runtime.shard1"][..],
+            ),
+        ] {
+            let mut rt = two_node_runtime(kind);
+            rt.enable_telemetry(SimDuration::from_micros(1));
+            let a = rt.add_actor_on(0, "a", Box::new(Ping(None)));
+            let b = rt.add_actor_on(1, "b", Box::new(Ping(Some(a))));
+            rt.with_actor::<Ping, _>(a, |p| p.0 = Some(b));
+            // Two countdowns 1 µs apart keep a near event queued behind
+            // each pop, and a far timer per node keeps the overflow heap
+            // non-empty. Every event lands in its own 1 µs window, so each
+            // boundary sample counts exactly one event.
+            rt.post(SimDuration::ZERO, a, 6u32);
+            rt.post(SimDuration::from_micros(1), a, 6u32);
+            rt.post(SimDuration::from_millis(10), a, 0u32);
+            rt.post(SimDuration::from_millis(11), b, 0u32);
+            assert_eq!(rt.run(), RunOutcome::Drained, "{kind:?}");
+            assert_eq!(rt.steps(), 16, "{kind:?}");
+
+            let telemetry = rt.take_telemetry();
+            let engine: Vec<_> = telemetry
+                .iter()
+                .filter(|e| e.series.starts_with("runtime."))
+                .collect();
+            let series: std::collections::BTreeSet<&str> =
+                engine.iter().map(|e| e.series.as_str()).collect();
+            let want: std::collections::BTreeSet<String> = prefixes
+                .iter()
+                .flat_map(|p| {
+                    ["queue.depth", "wheel.occupied", "wheel.far", "events"]
+                        .map(|s| format!("{p}.{s}"))
+                })
+                .collect();
+            assert_eq!(
+                series,
+                want.iter().map(String::as_str).collect(),
+                "{kind:?}"
+            );
+            for p in prefixes {
+                for peak in ["queue.depth_peak", "wheel.occupied_peak", "wheel.far_peak"] {
+                    let name = format!("{p}.{peak}");
+                    assert!(rt.metrics().counter(&name) > 0, "{kind:?}: {name}");
+                }
+            }
+            let counted: u64 = engine
+                .iter()
+                .filter(|e| e.series.ends_with(".events"))
+                .map(|e| match e.kind {
+                    crate::TelemetryKind::Count(n) => n,
+                    other => panic!("events series holds {other:?}"),
+                })
+                .sum();
+            assert_eq!(counted, rt.steps(), "{kind:?}");
+        }
     }
 
     #[test]

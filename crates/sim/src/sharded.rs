@@ -55,196 +55,26 @@
 //! link-schedule reservations) may differ between backends; order-free
 //! observables (per-link message/byte counters, end-to-end payloads) match.
 //! The cross-backend equivalence suite pins exactly that contract.
+//!
+//! Each shard is the same per-node event core the single-threaded
+//! [`Sim`](crate::Sim) runs (see [`crate::engine`]): its delivery loop,
+//! recording stores and self-profiling live there. This driver owns only
+//! what parallelism adds — horizons, rounds, the barrier exchange, the
+//! worker pool, and the [`ScheduleProbe`] hook.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::engine::{Actor, ActorId, Ctx, Msg, NodeOutage, RunOutcome, TraceEntry};
+use crate::engine::{
+    take_spans, take_telemetry, take_trace, Actor, ActorId, Core, Loc, Msg, NodeOutage, RunOutcome,
+    TraceEntry,
+};
 use crate::metrics::Metrics;
-use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::runtime::{Runtime, RuntimeConfig};
-use crate::span::{sort_canonical, SpanRecord, SpanStore};
-use crate::telemetry::{
-    sort_canonical_telemetry, TelemetryEvent, TelemetryKind, TelemetryStore, TELEMETRY_EXTERNAL,
-};
+use crate::span::SpanRecord;
+use crate::telemetry::TelemetryEvent;
 use crate::time::{SimDuration, SimTime};
-
-/// Queued payload: local actor slot, global id (for errors and traces),
-/// and the message itself.
-type Queued = (u32, ActorId, Msg);
-
-/// Where a global actor lives.
-#[derive(Clone, Copy)]
-struct Loc {
-    shard: u32,
-    local: u32,
-}
-
-struct Shard {
-    queue: EventQueue<Queued>,
-    actors: Vec<Option<Box<dyn Actor>>>,
-    rng: SimRng,
-    metrics: Metrics,
-    trace: Option<Vec<TraceEntry>>,
-    spans: Option<SpanStore>,
-    telemetry: Option<TelemetryStore>,
-    /// Self-profiling sampling period; `Some` exactly when `telemetry` is.
-    telemetry_period: Option<SimDuration>,
-    /// Last self-profiling window this shard emitted.
-    tele_window: Option<u64>,
-    /// Events processed at the last self-profiling emission.
-    tele_steps: u64,
-    /// Lifetime events processed by this shard (self-profiling).
-    total_processed: u64,
-    now: SimTime,
-    seq: u64,
-    stop: bool,
-    /// Node-down windows scoped to this shard's node (crash faults);
-    /// empty on fault-free runs.
-    outages: Vec<NodeOutage>,
-    /// Events processed in the current round.
-    processed: u64,
-    /// Cross-shard sends buffered until the barrier, as
-    /// `(sent_at, arrival, dst, msg)`; the send instant lets the barrier
-    /// check each message against its link's lookahead on the main thread
-    /// (so a violation panics with a diagnostic instead of a bare
-    /// "scoped thread panicked").
-    cross: Vec<(SimTime, SimTime, ActorId, Msg)>,
-    /// Reusable send buffer for [`run_window`](Shard::run_window): drained
-    /// back to empty after every event so the per-event cost is a pointer
-    /// swap, not a heap allocation.
-    scratch_outbox: Vec<(SimTime, ActorId, Msg)>,
-}
-
-impl Shard {
-    /// Processes all local events strictly before `horizon` (unbounded when
-    /// `None`); returns when the window is exhausted or an actor requested
-    /// a stop. Cross-shard sends are buffered with their send instant; the
-    /// barrier checks them against the per-link lookahead.
-    // analyze: hot-path
-    fn run_window(&mut self, horizon: Option<SimTime>, locs: &[Loc], my_index: u32, budget: u64) {
-        while self.processed < budget && !self.stop {
-            let Some((head_time, _)) = self.queue.peek_key() else {
-                break;
-            };
-            if horizon.is_some_and(|h| head_time >= h) {
-                break;
-            }
-            let (time, _seq, (local, dst, msg)) = self.queue.pop().expect("peeked event vanished");
-            debug_assert!(
-                time >= self.now,
-                "shard queue went back in time: popped {time} < now {now} (queue {q:?})",
-                now = self.now,
-                q = self.queue,
-            );
-            self.now = time;
-            self.processed += 1;
-            self.total_processed += 1;
-            if self.telemetry_period.is_some() {
-                self.telemetry_boundary(time, my_index);
-            }
-
-            // A delivery inside this node's down window is lost (crash
-            // fault): same decision rule, same metric as the
-            // single-threaded engine, so crash runs replay identically.
-            if !self.outages.is_empty() && self.outages.iter().any(|o| o.drops_at(time)) {
-                self.metrics.incr("engine.outage_drops");
-                continue;
-            }
-
-            let mut actor = self.actors[local as usize]
-                .take()
-                .unwrap_or_else(|| panic!("re-entrant or missing {dst}"));
-            let mut outbox = std::mem::take(&mut self.scratch_outbox);
-            {
-                let mut ctx = Ctx::new(
-                    self.now,
-                    dst,
-                    &mut outbox,
-                    &mut self.rng,
-                    &mut self.metrics,
-                    &mut self.trace,
-                    &mut self.spans,
-                    &mut self.telemetry,
-                    &mut self.stop,
-                );
-                actor.handle(msg, &mut ctx);
-            }
-            self.actors[local as usize] = Some(actor);
-            for (time, dst, msg) in outbox.drain(..) {
-                let loc = locs
-                    .get(dst.index())
-                    .unwrap_or_else(|| panic!("send to unregistered {dst}"));
-                if loc.shard == my_index {
-                    self.push(time, *loc, dst, msg);
-                } else {
-                    self.cross.push((self.now, time, dst, msg));
-                }
-            }
-            self.scratch_outbox = outbox;
-        }
-    }
-
-    fn push(&mut self, time: SimTime, loc: Loc, dst: ActorId, msg: Msg) {
-        self.queue.push(time, self.seq, (loc.local, dst, msg));
-        self.seq += 1;
-    }
-
-    /// Per-shard counterpart of the single-threaded engine's boundary
-    /// sampling: when an event crosses a sampling-period boundary, record
-    /// this shard's scheduler gauges and events-per-window delta under
-    /// the backend-specific `runtime.shard{i}.` namespace. Exporters
-    /// exclude `runtime.` series from cross-backend artifacts.
-    fn telemetry_boundary(&mut self, time: SimTime, my_index: u32) {
-        let Some(period) = self.telemetry_period else {
-            return;
-        };
-        let w = time.as_nanos() / period.as_nanos().max(1);
-        if self.tele_window == Some(w) {
-            return;
-        }
-        self.tele_window = Some(w);
-        let at = SimTime::from_nanos(w.saturating_mul(period.as_nanos()));
-        let depth = self.queue.len() as u64;
-        let occupied = self.queue.wheel_occupied_buckets() as u64;
-        let far = self.queue.far_len() as u64;
-        let events = self.total_processed - self.tele_steps;
-        self.tele_steps = self.total_processed;
-        // `telemetry_period` is only ever set together with the store.
-        let Some(store) = self.telemetry.as_mut() else {
-            return;
-        };
-        for (suffix, kind) in [
-            ("queue.depth", TelemetryKind::Gauge(depth)),
-            ("wheel.occupied", TelemetryKind::Gauge(occupied)),
-            ("wheel.far", TelemetryKind::Gauge(far)),
-            ("events", TelemetryKind::Count(events)),
-        ] {
-            store.record(
-                TELEMETRY_EXTERNAL,
-                at,
-                format!("runtime.shard{my_index}.{suffix}"),
-                kind,
-            );
-        }
-        for (suffix, v) in [
-            ("wheel.occupied_peak", occupied),
-            ("wheel.far_peak", far),
-            ("queue.depth_peak", depth),
-        ] {
-            let name = format!("runtime.shard{my_index}.{suffix}");
-            let prev = self.metrics.counter(&name);
-            if v > prev {
-                self.metrics.add(&name, v - prev);
-            }
-        }
-    }
-
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_key().map(|(t, _)| t)
-    }
-}
 
 /// The parallel sharded simulation engine.
 ///
@@ -254,7 +84,8 @@ impl Shard {
 /// shards by the `node` argument of
 /// [`Runtime::add_actor_on`].
 pub struct ShardedSim {
-    shards: Vec<Shard>,
+    /// One event core per node.
+    shards: Vec<Core>,
     locs: Vec<Loc>,
     names: Vec<String>,
     /// `la[j][i]`: lower bound on the delay of any message from shard `j`
@@ -265,12 +96,6 @@ pub struct ShardedSim {
     /// plus anything the harness records between runs.
     metrics: Metrics,
     now: SimTime,
-    steps: u64,
-    seed: u64,
-    trace_enabled: bool,
-    spans_enabled: bool,
-    /// Telemetry sampling period; `Some` while the plane is enabled.
-    telemetry_period: Option<SimDuration>,
 }
 
 /// Scheduling hook for the bounded schedule explorer
@@ -328,26 +153,7 @@ impl ShardedSim {
         }
         let mut root = SimRng::new(config.seed);
         let shards = (0..config.nodes)
-            .map(|_| Shard {
-                queue: EventQueue::new(),
-                actors: Vec::new(),
-                rng: root.fork(),
-                metrics: Metrics::new(),
-                trace: None,
-                spans: None,
-                telemetry: None,
-                telemetry_period: None,
-                tele_window: None,
-                tele_steps: 0,
-                total_processed: 0,
-                now: SimTime::ZERO,
-                seq: 0,
-                stop: false,
-                outages: Vec::new(),
-                processed: 0,
-                cross: Vec::new(),
-                scratch_outbox: Vec::new(),
-            })
+            .map(|i| Core::new(root.fork(), config.seed, &format!("runtime.shard{i}")))
             .collect::<Vec<_>>();
         let workers = resolve_workers(config, shards.len());
         ShardedSim {
@@ -358,11 +164,6 @@ impl ShardedSim {
             workers,
             metrics: Metrics::new(),
             now: SimTime::ZERO,
-            steps: 0,
-            seed: config.seed,
-            trace_enabled: false,
-            spans_enabled: false,
-            telemetry_period: None,
         }
     }
 
@@ -383,11 +184,9 @@ impl ShardedSim {
             self.shards.len()
         );
         let id = ActorId::from_raw(u32::try_from(self.locs.len()).expect("too many actors"));
-        let shard = &mut self.shards[node];
-        let local = u32::try_from(shard.actors.len()).expect("too many actors on one shard");
-        shard.actors.push(Some(actor));
+        let local = self.shards[node].add_actor(node, actor);
         self.locs.push(Loc {
-            shard: node as u32,
+            core: node as u32,
             local,
         });
         self.names.push(name.to_string());
@@ -500,30 +299,13 @@ impl ShardedSim {
     ) -> RunOutcome {
         for s in &mut self.shards {
             s.stop = false;
-            s.processed = 0;
-            if self.trace_enabled && s.trace.is_none() {
-                s.trace = Some(Vec::new());
-            }
-            if self.spans_enabled && s.spans.is_none() {
-                // Every shard's store shares the run seed: ids derive from
-                // (seed, actor, per-actor counter), so the shard layout does
-                // not influence them and they match the single-threaded
-                // engine bit-for-bit.
-                s.spans = Some(SpanStore::new(self.seed));
-            }
-            if self.telemetry_period.is_some() {
-                if s.telemetry.is_none() {
-                    s.telemetry = Some(TelemetryStore::new());
-                }
-                s.telemetry_period = self.telemetry_period;
-            }
         }
-        let profile = self.telemetry_period.is_some();
-        let start_steps = self.steps;
+        let profile = self.telemetry_period().is_some();
+        let start_steps = self.steps();
         let mut round = 0u64;
         let outcome = loop {
             let nexts: Vec<Option<SimTime>> =
-                self.shards.iter().map(Shard::next_event_time).collect();
+                self.shards.iter().map(Core::next_event_time).collect();
             let Some(t_min) = nexts.iter().flatten().min().copied() else {
                 break RunOutcome::Drained;
             };
@@ -532,7 +314,7 @@ impl ShardedSim {
                     break RunOutcome::LimitReached;
                 }
             }
-            let done = self.steps.saturating_sub(start_steps);
+            let done = self.steps() - start_steps;
             if done >= max_steps {
                 break RunOutcome::LimitReached;
             }
@@ -562,7 +344,6 @@ impl ShardedSim {
             let mut stalled = 0u64;
             for (j, s) in self.shards.iter_mut().enumerate() {
                 self.now = self.now.max(s.now);
-                self.steps += s.processed;
                 if profile {
                     // A shard that processed nothing this round spent the
                     // whole window blocked on the barrier: the per-shard
@@ -570,14 +351,11 @@ impl ShardedSim {
                     // split, measured in deterministic virtual units.
                     if s.processed == 0 {
                         stalled += 1;
-                        self.metrics
-                            .incr(&format!("runtime.shard{j}.stalled_rounds"));
+                        self.metrics.incr(&s.series.stalled_rounds);
                     } else {
-                        self.metrics
-                            .add(&format!("runtime.shard{j}.busy_events"), s.processed);
+                        self.metrics.add(&s.series.busy_events, s.processed);
                     }
                 }
-                s.processed = 0;
                 moved.extend(
                     s.cross
                         .drain(..)
@@ -592,16 +370,16 @@ impl ShardedSim {
             }
             for (src, sent, time, dst, msg) in moved {
                 let loc = self.locs[dst.index()];
-                let la = self.la[src as usize][loc.shard as usize];
+                let la = self.la[src as usize][loc.core as usize];
                 assert!(
                     time >= sent.saturating_add(la),
                     "lookahead violation: cross-shard message for {dst} at {time} \
                      sent at {sent} undercuts the link lookahead ({la}) from shard \
                      {src} to shard {peer} — the configured lookahead is not a \
                      lower bound on cross-node delay",
-                    peer = loc.shard,
+                    peer = loc.core,
                 );
-                self.shards[loc.shard as usize].push(time, loc, dst, msg);
+                self.shards[loc.core as usize].push(time, loc.local, dst, msg);
             }
             if self.shards.iter().any(|s| s.stop) {
                 break RunOutcome::Stopped;
@@ -642,7 +420,7 @@ impl ShardedSim {
         );
         let idle = (0..self.shards.len()).filter(|i| !active.contains(i));
         for i in order.iter().copied().chain(idle) {
-            self.shards[i].run_window(horizons[i], &self.locs, i as u32, budget);
+            self.shards[i].run_window(horizons[i], budget, &self.locs, i as u32);
         }
         probe.log.push(active);
     }
@@ -653,11 +431,11 @@ impl ShardedSim {
         let n = self.shards.len();
         if self.workers <= 1 || n <= 1 {
             for (i, s) in self.shards.iter_mut().enumerate() {
-                s.run_window(horizons[i], locs, i as u32, budget);
+                s.run_window(horizons[i], budget, locs, i as u32);
             }
             return;
         }
-        let slots: Vec<Mutex<&mut Shard>> = self.shards.iter_mut().map(Mutex::new).collect();
+        let slots: Vec<Mutex<&mut Core>> = self.shards.iter_mut().map(Mutex::new).collect();
         let workers = self.workers.min(n);
         let active = AtomicU64::new(0);
         std::thread::scope(|scope| {
@@ -677,7 +455,7 @@ impl ShardedSim {
                         let mut shard = slot
                             .lock()
                             .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        shard.run_window(horizons[i], locs, i as u32, budget);
+                        shard.run_window(horizons[i], budget, locs, i as u32);
                         did_work |= shard.processed > 0;
                     }
                     if did_work {
@@ -733,7 +511,7 @@ impl Runtime for ShardedSim {
             .get(dst.index())
             .unwrap_or_else(|| panic!("post to unregistered {dst}"));
         let time = self.now.saturating_add(delay);
-        self.shards[loc.shard as usize].push(time, loc, dst, msg);
+        self.shards[loc.core as usize].push(time, loc.local, dst, msg);
     }
 
     fn run(&mut self) -> RunOutcome {
@@ -753,7 +531,7 @@ impl Runtime for ShardedSim {
     }
 
     fn steps(&self) -> u64 {
-        self.steps
+        self.shards.iter().map(|s| s.steps).sum()
     }
 
     fn pending(&self) -> usize {
@@ -777,89 +555,42 @@ impl Runtime for ShardedSim {
     }
 
     fn enable_trace(&mut self) {
-        self.trace_enabled = true;
-        for s in &mut self.shards {
-            if s.trace.is_none() {
-                s.trace = Some(Vec::new());
-            }
-        }
+        self.shards.iter_mut().for_each(Core::enable_trace);
     }
 
     fn take_trace(&mut self) -> Vec<TraceEntry> {
-        let mut all = Vec::new();
-        for s in &mut self.shards {
-            if let Some(t) = s.trace.as_mut() {
-                all.append(t);
-            }
-        }
-        // No global total order exists across shards; sort into the same
-        // canonical (time, actor, label) order the single-threaded engine
-        // returns, so equal workloads yield equal traces across backends.
-        all.sort_by(|a, b| (a.time, a.actor, &a.label).cmp(&(b.time, b.actor, &b.label)));
-        all
+        take_trace(&mut self.shards)
     }
 
     fn enable_spans(&mut self) {
-        self.spans_enabled = true;
-        let seed = self.seed;
-        for s in &mut self.shards {
-            if s.spans.is_none() {
-                s.spans = Some(SpanStore::new(seed));
-            }
-        }
+        self.shards.iter_mut().for_each(Core::enable_spans);
     }
 
     fn take_spans(&mut self) -> Vec<SpanRecord> {
-        let mut all = Vec::new();
-        for s in &mut self.shards {
-            if let Some(store) = s.spans.as_mut() {
-                all.append(&mut store.take());
-            }
-        }
-        sort_canonical(&mut all);
-        all
+        take_spans(&mut self.shards)
     }
 
     fn enable_telemetry(&mut self, period: SimDuration) {
-        assert!(period > SimDuration::ZERO, "telemetry period must be > 0");
-        self.telemetry_period = Some(period);
         for s in &mut self.shards {
-            if s.telemetry.is_none() {
-                s.telemetry = Some(TelemetryStore::new());
-            }
-            s.telemetry_period = Some(period);
+            s.enable_telemetry(period);
         }
     }
 
     fn telemetry_period(&self) -> Option<SimDuration> {
-        self.telemetry_period
+        self.shards[0].telemetry_period()
     }
 
     fn take_telemetry(&mut self) -> Vec<TelemetryEvent> {
-        let mut all = Vec::new();
-        for s in &mut self.shards {
-            if let Some(store) = s.telemetry.as_mut() {
-                all.append(&mut store.take());
-            }
-        }
-        // Same contract as spans: merge per-shard buffers, then sort into
-        // the canonical (time, series, actor, ord) order shared with the
-        // single-threaded engine.
-        sort_canonical_telemetry(&mut all);
-        all
+        take_telemetry(&mut self.shards)
     }
 
     fn with_actor_any(&mut self, id: ActorId, f: &mut dyn FnMut(&mut dyn std::any::Any)) {
         let loc = self.locs[id.index()];
-        let actor = self.shards[loc.shard as usize].actors[loc.local as usize]
-            .as_mut()
-            .unwrap_or_else(|| panic!("missing {id}"));
-        f(actor.as_mut());
+        self.shards[loc.core as usize].with_actor_any(loc.local, id, f);
     }
 
     fn set_node_outages(&mut self, outages: Vec<NodeOutage>) {
-        // Each shard keeps only its own node's windows: the decision in
-        // `run_window` is then a pure function of the delivery time.
+        // Each shard keeps only its own node's windows.
         for (node, s) in self.shards.iter_mut().enumerate() {
             s.outages = outages.iter().filter(|o| o.node == node).copied().collect();
         }
@@ -878,7 +609,7 @@ impl std::fmt::Debug for ShardedSim {
             .field("now", &self.now)
             .field("actors", &self.locs.len())
             .field("pending", &self.pending())
-            .field("steps", &self.steps)
+            .field("steps", &self.steps())
             .finish()
     }
 }
@@ -886,6 +617,7 @@ impl std::fmt::Debug for ShardedSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Ctx;
     use crate::runtime::RuntimeExt;
 
     const LOOKAHEAD: SimDuration = SimDuration::from_micros(2);

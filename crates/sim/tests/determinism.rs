@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use fractos_sim::{Actor, Ctx, Msg, Sim, SimDuration, SimTime};
+use fractos_sim::{Actor, Ctx, Msg, Runtime, RuntimeExt, Sim, SimDuration, SimTime};
 
 /// An actor that records its deliveries and randomly fans out messages.
 struct Chatter {
@@ -37,7 +37,7 @@ fn run(seed: u64, actors: usize, seeds: &[u64]) -> (u64, SimTime, Vec<Vec<(SimTi
     let mut ids = Vec::new();
     for i in 0..actors {
         ids.push(sim.add_actor(
-            format!("a{i}"),
+            &format!("a{i}"),
             Box::new(Chatter {
                 id: i,
                 peers: Vec::new(),
