@@ -446,3 +446,132 @@ fn chaos_partition_is_detected_and_heals() {
     tb.run_until(us(4_000));
     tb.with_service::<Probe, _>(probe, |p| assert!(p.ok, "post-heal syscall failed"));
 }
+
+/// Syscalls each control-channel case issues.
+const N: u64 = 8;
+
+/// Issues [`N`] `request_create_new` calls at start and records every
+/// result.
+struct Issuer {
+    results: Vec<SyscallResult>,
+}
+
+impl Service for Issuer {
+    fn on_start(&mut self, fos: &Fos<Self>) {
+        for tag in 0..N {
+            fos.request_create_new(tag, vec![], vec![], |s: &mut Self, res, _| {
+                s.results.push(res);
+            });
+        }
+    }
+    fn on_request(&mut self, _req: IncomingRequest, _fos: &Fos<Self>) {}
+}
+
+/// What a Process on node 2, managed by the Controller on node 0, sees
+/// after issuing [`N`] syscalls under one fault plan.
+struct ChannelOutcome {
+    results: Vec<SyscallResult>,
+    /// Delivered control messages `(2 → 0, 0 → 2)`.
+    ctrl_msgs: (u64, u64),
+    /// Messages the plan dropped on link 2 → 0.
+    dropped_2_0: u64,
+    proc_alive: bool,
+    capspace_len: usize,
+}
+
+fn run_channel(plan: FaultPlan) -> ChannelOutcome {
+    let seed = chaos_seed();
+    let mut tb = Testbed::new_on(
+        Topology::paper_testbed(),
+        NetParams::paper(),
+        seed,
+        RuntimeKind::from_env(),
+    );
+    let ctrls = tb.controllers_per_node(false);
+    tb.install_fault_plan(plan, seed);
+    let proc = tb.add_process("issuer", cpu(2), ctrls[0], Issuer { results: vec![] });
+    tb.start_process(proc);
+    tb.run();
+    let traffic = tb.traffic();
+    let ctrl_msgs = |src, dst| {
+        let key = (NodeId(src), NodeId(dst), TrafficClass::Control);
+        traffic
+            .flows()
+            .filter(|(k, _)| **k == key)
+            .map(|(_, f)| f.msgs)
+            .sum()
+    };
+    let dropped_2_0 = traffic
+        .fault_links()
+        .filter(|(k, _)| **k == (NodeId(2), NodeId(0)))
+        .map(|(_, c)| c.dropped)
+        .sum();
+    let proc_alive = tb.dir.borrow().proc(proc).is_some_and(|p| p.alive);
+    ChannelOutcome {
+        results: tb.with_service::<Issuer, _>(proc, |s| s.results.clone()),
+        ctrl_msgs: (ctrl_msgs(2, 0), ctrl_msgs(0, 2)),
+        dropped_2_0,
+        proc_alive,
+        capspace_len: tb.with_controller(ctrls[0], |c| c.capspace_len(proc)),
+    }
+}
+
+fn all_unreachable(out: &ChannelOutcome) -> bool {
+    out.results.len() as u64 == N
+        && out
+            .results
+            .iter()
+            .all(|r| *r == SyscallResult::Err(FosError::ControllerUnreachable))
+}
+
+/// Every control channel's retry budget ends in its typed §3.6 verdict,
+/// and a presumed-lost duplicate is absorbed by the receiver: a Process
+/// on node 2 issues [`N`] syscalls to its Controller on node 0 under one
+/// plan per row. Controller → Controller exhaustion is covered by the
+/// services suite (`fs_create_fails_typed_when_block_adaptor_partitioned`).
+#[test]
+fn chaos_control_channel_budgets_end_in_typed_verdicts() {
+    type Check = fn(&ChannelOutcome);
+    let cases: [(&str, FaultPlan, Check); 3] = [
+        (
+            // Process → Controller: every attempt of every syscall drops.
+            "partition 2-0",
+            FaultPlan::new().partition(NodeId(2), NodeId(0), SimTime::ZERO, None),
+            |out| {
+                assert!(all_unreachable(out), "results {:?}", out.results);
+                let max_attempts = u64::from(NetParams::paper().retry.max_attempts);
+                assert_eq!(out.dropped_2_0, N * max_attempts, "drops on 2 -> 0");
+            },
+        ),
+        (
+            // Controller → Process: the replies never get through, so the
+            // channel is severed and the Process is failed.
+            "drop 0->2",
+            FaultPlan::new().drop_prob(NodeId(0), NodeId(2), 1.0),
+            |out| {
+                assert!(all_unreachable(out), "results {:?}", out.results);
+                assert!(!out.proc_alive, "severed Process still alive");
+                assert_eq!(out.capspace_len, 0, "severed Process kept capabilities");
+                assert_eq!(out.ctrl_msgs.1, 0, "control messages delivered 0 -> 2");
+            },
+        ),
+        (
+            // Slow but lossless: each syscall is re-sent once as presumed
+            // lost, and the Controller runs it exactly once.
+            "degrade 2->0 x40",
+            FaultPlan::new().degrade(NodeId(2), NodeId(0), SimTime::ZERO, us(1_000_000), 40.0),
+            |out| {
+                assert_eq!(out.ctrl_msgs.0, 2 * N, "syscalls plus duplicates 2 -> 0");
+                assert_eq!(out.capspace_len as u64, N, "a duplicate ran twice");
+                let mut cids: Vec<Cid> = out.results.iter().map(|r| r.cid()).collect();
+                cids.sort();
+                cids.dedup();
+                assert_eq!(cids.len() as u64, N, "results {:?}", out.results);
+            },
+        ),
+    ];
+    for (name, plan, check) in cases {
+        eprintln!("case: {name}");
+        check(&run_channel(plan));
+    }
+}

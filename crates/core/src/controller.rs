@@ -30,7 +30,7 @@ use fractos_sim::{Actor, Ctx, Msg, Shared, SimDuration, SimTime, SpanKind, Trace
 use crate::directory::Directory;
 use crate::memstore::MemoryStore;
 use crate::messages::{CtrlMsg, CtrlToProc, DeriveOp, MonitorKind, PeerOp, ProcMsg};
-use crate::retry::{DedupFilter, SeqGen};
+use crate::retry::{self, DedupFilter, Hop, Sent, SeqGen};
 use crate::types::{
     Arg, CapArg, FosError, IncomingRequest, MemoryDesc, MonitorCb, ObjPayload, ProcId, RequestDesc,
     Syscall, SyscallResult,
@@ -317,17 +317,63 @@ impl ControllerActor {
         if !alive || self.dead_procs.contains(&proc) {
             return;
         }
-        let size = msg.wire_size();
-        // Controller-side processing (validation + table work) shows up as
-        // a Control span covering the `extra` charge; retransmits reuse the
-        // base context restored from the retry message instead of opening a
-        // second Control span.
-        let base = if attempt == 0 && self.cur.is_some() {
-            let label = match &msg {
-                CtrlToProc::Reply { .. } => "reply",
-                CtrlToProc::Deliver(_) => "deliver",
-                CtrlToProc::Monitor(_) => "monitor",
-            };
+        let label = match &msg {
+            CtrlToProc::Reply { .. } => "reply",
+            CtrlToProc::Deliver(_) => "deliver",
+            CtrlToProc::Monitor(_) => "monitor",
+        };
+        let base = self.control_span(ctx, label, attempt, extra);
+        // `extra` is processing time before the message departs; compute
+        // the fabric traversal from the departure instant so it does not
+        // double-queue behind this operation's own link reservations.
+        let depart = ctx.now() + extra;
+        let hop = Hop {
+            src: self.endpoint,
+            dst: ep,
+            size: msg.wire_size(),
+            class: TrafficClass::Control,
+            label: "ctrl->proc",
+            ser_start: depart,
+            depart,
+            base,
+            attempt,
+        };
+        match retry::transmit(&self.fabric, ctx, hop) {
+            Sent::Delivered { after, dup, tctx } => {
+                let envelope = move |msg| ProcMsg::FromCtrl { seq, tctx, msg };
+                if let Some(dup) = dup {
+                    ctx.send_after(dup, actor, envelope(msg.clone()));
+                }
+                ctx.send_after(after, actor, envelope(msg));
+            }
+            Sent::Retry { after } => ctx.schedule_self(
+                after,
+                CtrlMsg::RetransmitProc {
+                    proc,
+                    msg,
+                    seq,
+                    attempt: attempt + 1,
+                    tctx: base,
+                },
+            ),
+            // Retry budget exhausted: the channel to the Process is
+            // unusable — same §3.6 verdict as a severed channel.
+            Sent::Exhausted => self.on_proc_severed(ctx, proc),
+        }
+    }
+
+    /// Opens the Control span covering a send's processing charge `extra`
+    /// and returns the context its hop hangs under. Retransmits reuse the
+    /// base context restored from the retry message instead of opening a
+    /// second Control span.
+    fn control_span(
+        &self,
+        ctx: &mut Ctx<'_>,
+        label: &str,
+        attempt: u32,
+        extra: SimDuration,
+    ) -> TraceCtx {
+        if attempt == 0 && self.cur.is_some() {
             ctx.span(
                 SpanKind::Control,
                 label,
@@ -337,90 +383,6 @@ impl ControllerActor {
             )
         } else {
             self.cur
-        };
-        // `extra` is processing time before the message departs; compute
-        // the fabric traversal from the departure instant so it does not
-        // double-queue behind this operation's own link reservations.
-        let depart = ctx.now() + extra;
-        let retry = self.fabric.borrow().params().retry;
-        let outcome = self.fabric.borrow_mut().try_send_parts(
-            depart,
-            ctx.rng(),
-            self.endpoint,
-            ep,
-            size,
-            TrafficClass::Control,
-        );
-        match outcome {
-            Some((delay, prop)) => {
-                let tctx = if base.is_some() {
-                    let ser_end = depart + delay.saturating_sub(prop);
-                    let s = ctx.span(SpanKind::FabricSer, "ctrl->proc", base, depart, ser_end);
-                    ctx.span(
-                        SpanKind::FabricProp,
-                        "ctrl->proc",
-                        s,
-                        ser_end,
-                        depart + delay,
-                    )
-                } else {
-                    TraceCtx::NONE
-                };
-                // A delivery slower than one RTO under active faults is
-                // presumed lost and re-fired once; the Process's sequence
-                // filter absorbs the duplicate (same trace context, no
-                // extra spans).
-                if attempt == 0 && delay > retry.rto(0) && self.fabric.borrow().has_faults() {
-                    let dup = self.fabric.borrow_mut().try_send_parts(
-                        depart,
-                        ctx.rng(),
-                        self.endpoint,
-                        ep,
-                        size,
-                        TrafficClass::Control,
-                    );
-                    if let Some((d2, _)) = dup {
-                        ctx.send_after(
-                            extra + d2,
-                            actor,
-                            ProcMsg::FromCtrl {
-                                seq,
-                                tctx,
-                                msg: msg.clone(),
-                            },
-                        );
-                    }
-                }
-                ctx.send_after(extra + delay, actor, ProcMsg::FromCtrl { seq, tctx, msg });
-            }
-            None => {
-                if attempt + 1 < retry.max_attempts {
-                    if base.is_some() {
-                        ctx.span(SpanKind::Fault, "drop", base, depart, depart);
-                        ctx.span(
-                            SpanKind::Retransmit,
-                            "ctrl->proc",
-                            base,
-                            depart,
-                            depart + retry.rto(attempt),
-                        );
-                    }
-                    ctx.schedule_self(
-                        extra + retry.rto(attempt),
-                        CtrlMsg::RetransmitProc {
-                            proc,
-                            msg,
-                            seq,
-                            attempt: attempt + 1,
-                            tctx: base,
-                        },
-                    );
-                } else {
-                    // Retry budget exhausted: the channel to the Process is
-                    // unusable — same §3.6 verdict as a severed channel.
-                    self.on_proc_severed(ctx, proc);
-                }
-            }
         }
     }
 
@@ -449,31 +411,19 @@ impl ControllerActor {
         attempt: u32,
         extra: SimDuration,
     ) {
+        let from = self.addr;
         if to == self.addr {
             // Loopback peer op (e.g. registry co-located): handle directly
             // after the extra delay. No fabric hop — only a Control span.
-            let tctx = if attempt == 0 && self.cur.is_some() {
-                ctx.span(
-                    SpanKind::Control,
-                    peer_op_name(&op),
-                    self.cur,
-                    ctx.now(),
-                    ctx.now() + extra,
-                )
-            } else {
-                self.cur
-            };
+            let tctx = self.control_span(ctx, peer_op_name(&op), attempt, extra);
             let self_actor = ctx.self_id();
-            ctx.send_after(
-                extra,
-                self_actor,
-                CtrlMsg::FromPeer {
-                    from: to,
-                    op,
-                    seq,
-                    tctx,
-                },
-            );
+            let msg = CtrlMsg::FromPeer {
+                from,
+                op,
+                seq,
+                tctx,
+            };
+            ctx.send_after(extra, self_actor, msg);
             return;
         }
         let (actor, ep, alive) = {
@@ -496,127 +446,57 @@ impl ControllerActor {
         } else {
             TrafficClass::Control
         };
-        // Control span covers the peer-op processing charge; retransmits
-        // restore the base context from the retry message instead.
-        let base = if attempt == 0 && self.cur.is_some() {
-            ctx.span(
-                SpanKind::Control,
-                peer_op_name(&op),
-                self.cur,
-                ctx.now(),
-                ctx.now() + extra,
-            )
-        } else {
-            self.cur
-        };
-        let depart = ctx.now() + extra + ser;
-        let (faults, retry) = {
-            let fabric = self.fabric.borrow();
-            (fabric.has_faults(), fabric.params().retry)
-        };
+        let base = self.control_span(ctx, peer_op_name(&op), attempt, extra);
         // Last-resort ack timeout for request-type ops: covers a lost or
         // abandoned return path that retransmits on this side cannot see.
-        if faults && attempt == 0 {
+        if attempt == 0 {
             if let Some(token) = op.ack_token() {
-                ctx.schedule_self(retry.ack_timeout, CtrlMsg::AckTimeout { token });
+                if let Some(t) = retry::last_resort(&self.fabric, |r| r.ack_timeout) {
+                    ctx.schedule_self(t, CtrlMsg::AckTimeout { token });
+                }
             }
         }
-        let outcome = self.fabric.borrow_mut().try_send_parts(
-            depart,
-            ctx.rng(),
-            self.endpoint,
-            ep,
+        // The serialization span starts at the end of the processing
+        // charge, folding the CPU (de)serialization cost `ser` into the
+        // link-occupancy share of the hop.
+        let hop = Hop {
+            src: self.endpoint,
+            dst: ep,
             size,
             class,
-        );
-        match outcome {
-            Some((delay, prop)) => {
-                // The serialization span folds the CPU (de)serialization
-                // cost `ser` into the link-occupancy share of the fabric
-                // delay; propagation is the wire share.
-                let tctx = if base.is_some() {
-                    let ser_end = depart + delay.saturating_sub(prop);
-                    let s = ctx.span(
-                        SpanKind::FabricSer,
-                        "ctrl->ctrl",
-                        base,
-                        ctx.now() + extra,
-                        ser_end,
-                    );
-                    ctx.span(
-                        SpanKind::FabricProp,
-                        "ctrl->ctrl",
-                        s,
-                        ser_end,
-                        depart + delay,
-                    )
-                } else {
-                    TraceCtx::NONE
+            label: "ctrl->ctrl",
+            ser_start: ctx.now() + extra,
+            depart: ctx.now() + extra + ser,
+            base,
+            attempt,
+        };
+        match retry::transmit(&self.fabric, ctx, hop) {
+            Sent::Delivered { after, dup, tctx } => {
+                let envelope = move |op| CtrlMsg::FromPeer {
+                    from,
+                    op,
+                    seq,
+                    tctx,
                 };
-                // Presumed-lost duplicate when delivery is slower than one
-                // RTO; the receiver's sequence filter absorbs it.
-                if attempt == 0 && delay > retry.rto(0) && faults {
-                    let dup = self.fabric.borrow_mut().try_send_parts(
-                        depart,
-                        ctx.rng(),
-                        self.endpoint,
-                        ep,
-                        size,
-                        class,
-                    );
-                    if let Some((d2, _)) = dup {
-                        ctx.send_after(
-                            extra + ser + d2,
-                            actor,
-                            CtrlMsg::FromPeer {
-                                from: self.addr,
-                                op: op.clone(),
-                                seq,
-                                tctx,
-                            },
-                        );
-                    }
+                if let Some(dup) = dup {
+                    ctx.send_after(dup, actor, envelope(op.clone()));
                 }
-                ctx.send_after(
-                    extra + ser + delay,
-                    actor,
-                    CtrlMsg::FromPeer {
-                        from: self.addr,
-                        op,
-                        seq,
-                        tctx,
-                    },
-                );
+                ctx.send_after(after, actor, envelope(op));
             }
-            None => {
-                if attempt + 1 < retry.max_attempts {
-                    if base.is_some() {
-                        ctx.span(SpanKind::Fault, "drop", base, depart, depart);
-                        ctx.span(
-                            SpanKind::Retransmit,
-                            "ctrl->ctrl",
-                            base,
-                            depart,
-                            depart + retry.rto(attempt),
-                        );
-                    }
-                    ctx.schedule_self(
-                        extra + ser + retry.rto(attempt),
-                        CtrlMsg::RetransmitPeer {
-                            to,
-                            op,
-                            seq,
-                            attempt: attempt + 1,
-                            tctx: base,
-                        },
-                    );
-                } else {
-                    // Retry budget exhausted: every operation pending on
-                    // this peer resolves to `ControllerUnreachable` (§3.6).
-                    // Only the watchdog may declare the peer dead.
-                    self.fail_ops_to(ctx, to);
-                }
-            }
+            Sent::Retry { after } => ctx.schedule_self(
+                after,
+                CtrlMsg::RetransmitPeer {
+                    to,
+                    op,
+                    seq,
+                    attempt: attempt + 1,
+                    tctx: base,
+                },
+            ),
+            // Retry budget exhausted: every operation pending on this peer
+            // resolves to `ControllerUnreachable` (§3.6). Only the watchdog
+            // may declare the peer dead.
+            Sent::Exhausted => self.fail_ops_to(ctx, to),
         }
     }
 
@@ -2153,6 +2033,19 @@ impl ControllerActor {
         }
     }
 
+    /// The volatile state a reboot loses, whether the Controller was dead
+    /// or live: the object table advances its epoch, and capability
+    /// spaces, memory snapshots, the registry, pending operations and the
+    /// dead-Process set are cleared.
+    fn lose_state(&mut self) {
+        self.table.reboot();
+        self.spaces.clear();
+        self.snaps.clear();
+        self.kv.clear();
+        self.pending.clear();
+        self.dead_procs.clear();
+    }
+
     fn on_peer_failed(&mut self, ctx: &mut Ctx<'_>, peer: ControllerAddr) {
         if !self.peers_dead.insert(peer) {
             return;
@@ -2198,12 +2091,7 @@ impl Actor for ControllerActor {
             // arrive as CtrlMsg::Reboot.
             if let CtrlMsg::Reboot = msg {
                 self.dead = false;
-                self.table.reboot();
-                self.spaces.clear();
-                self.snaps.clear();
-                self.kv.clear();
-                self.pending.clear();
-                self.dead_procs.clear();
+                self.lose_state();
                 self.dir.borrow_mut().revive_ctrl(self.addr);
             }
             return;
@@ -2290,15 +2178,8 @@ impl Actor for ControllerActor {
                 self.dead = true;
                 self.dir.borrow_mut().kill_ctrl(self.addr);
             }
-            CtrlMsg::Reboot => {
-                // Reboot of a live Controller: same state loss.
-                self.table.reboot();
-                self.spaces.clear();
-                self.snaps.clear();
-                self.kv.clear();
-                self.pending.clear();
-                self.dead_procs.clear();
-            }
+            // Reboot of a live Controller: same state loss.
+            CtrlMsg::Reboot => self.lose_state(),
             CtrlMsg::Ping {
                 watchdog,
                 watchdog_ep,

@@ -20,8 +20,9 @@
 //! * [`controller`] — the Controller actor (the trusted OS layer);
 //! * [`directory`] — shared cluster directory;
 //! * [`testbed`] — cluster assembly and failure injection;
-//! * [`retry`] — retransmission policy + duplicate suppression for the
-//!   control plane under an armed fault plan;
+//! * [`retry`] — the one reliable control-channel transmit
+//!   (retransmission, presumed-lost duplicates, exhaustion verdicts)
+//!   plus duplicate suppression, under an armed fault plan;
 //! * [`msgmodel`] — the analytic message-complexity model of §2.1.
 //!
 //! # Examples

@@ -20,7 +20,7 @@ use fractos_sim::{
 use crate::directory::Directory;
 use crate::memstore::MemoryStore;
 use crate::messages::{syscall_msg_size, CtrlMsg, CtrlToProc, ProcMsg};
-use crate::retry::{DedupFilter, SeqGen};
+use crate::retry::{self, DedupFilter, Hop, Sent, SeqGen};
 use crate::types::{FosError, IncomingRequest, MonitorCb, ProcId, Syscall, SyscallResult};
 
 /// Application logic of a FractOS Process (user service or device adaptor).
@@ -712,15 +712,12 @@ impl<S: Service> ProcessActor<S> {
             self.deliver_reply(token, SyscallResult::Err(FosError::ControllerUnreachable));
             return;
         }
-        let size = syscall_msg_size(&sc);
-        let (faults, retry) = {
-            let fabric = self.fabric.borrow();
-            (fabric.has_faults(), fabric.params().retry)
-        };
-        if faults && attempt == 0 {
+        if attempt == 0 {
             // Last-resort request timeout: covers replies the Controller
             // could not get back to us despite its own retries.
-            ctx.schedule_self(retry.syscall_timeout, ProcMsg::SyscallTimeout { token });
+            if let Some(t) = retry::last_resort(&self.fabric, |r| r.syscall_timeout) {
+                ctx.schedule_self(t, ProcMsg::SyscallTimeout { token });
+            }
         }
         // Base span context of this syscall (set by `flush` when the call
         // was posted inside an active trace); `NONE` outside traces.
@@ -732,99 +729,45 @@ impl<S: Service> ProcessActor<S> {
             .get(&token)
             .copied()
             .unwrap_or(TraceCtx::NONE);
-        let outcome = self.fabric.borrow_mut().try_send_parts(
-            ctx.now(),
-            ctx.rng(),
-            self.endpoint,
-            ctrl_ep,
-            size,
-            TrafficClass::Control,
-        );
-        match outcome {
-            Some((delay, prop)) => {
-                // Two hop spans split the fabric delay: serialization (link
-                // occupancy + queueing) then propagation. The envelope
-                // carries the propagation span so the Controller parents
-                // its own work under the arriving hop.
-                let tctx = if base.is_some() {
-                    let depart = ctx.now();
-                    let ser_end = depart + delay.saturating_sub(prop);
-                    let ser = ctx.span(SpanKind::FabricSer, "proc->ctrl", base, depart, ser_end);
-                    ctx.span(
-                        SpanKind::FabricProp,
-                        "proc->ctrl",
-                        ser,
-                        ser_end,
-                        depart + delay,
-                    )
-                } else {
-                    TraceCtx::NONE
+        let hop = Hop {
+            src: self.endpoint,
+            dst: ctrl_ep,
+            size: syscall_msg_size(&sc),
+            class: TrafficClass::Control,
+            label: "proc->ctrl",
+            ser_start: ctx.now(),
+            depart: ctx.now(),
+            base,
+            attempt,
+        };
+        let proc = self.proc;
+        match retry::transmit(&self.fabric, ctx, hop) {
+            Sent::Delivered { after, dup, tctx } => {
+                let envelope = move |sc| CtrlMsg::FromProc {
+                    proc,
+                    token,
+                    sc,
+                    seq,
+                    tctx,
                 };
-                // A delivery slower than one RTO under active faults is
-                // presumed lost and re-fired once; the Controller's
-                // sequence filter absorbs the duplicate. The duplicate
-                // rides the same trace context — no extra spans.
-                if attempt == 0 && delay > retry.rto(0) && faults {
-                    let dup = self.fabric.borrow_mut().try_send_parts(
-                        ctx.now(),
-                        ctx.rng(),
-                        self.endpoint,
-                        ctrl_ep,
-                        size,
-                        TrafficClass::Control,
-                    );
-                    if let Some((d2, _)) = dup {
-                        ctx.send_after(
-                            d2,
-                            ctrl_actor,
-                            CtrlMsg::FromProc {
-                                proc: self.proc,
-                                token,
-                                sc: sc.clone(),
-                                seq,
-                                tctx,
-                            },
-                        );
-                    }
+                if let Some(dup) = dup {
+                    ctx.send_after(dup, ctrl_actor, envelope(sc.clone()));
                 }
-                ctx.send_after(
-                    delay,
-                    ctrl_actor,
-                    CtrlMsg::FromProc {
-                        proc: self.proc,
-                        token,
-                        sc,
-                        seq,
-                        tctx,
-                    },
-                );
+                ctx.send_after(after, ctrl_actor, envelope(sc));
             }
-            None => {
-                if attempt + 1 < retry.max_attempts {
-                    if base.is_some() {
-                        ctx.span(SpanKind::Fault, "drop", base, ctx.now(), ctx.now());
-                        ctx.span(
-                            SpanKind::Retransmit,
-                            "proc->ctrl",
-                            base,
-                            ctx.now(),
-                            ctx.now() + retry.rto(attempt),
-                        );
-                    }
-                    ctx.schedule_self(
-                        retry.rto(attempt),
-                        ProcMsg::Retransmit {
-                            token,
-                            sc,
-                            seq,
-                            attempt: attempt + 1,
-                        },
-                    );
-                } else {
-                    // Retry budget exhausted: resolve the syscall with the
-                    // §3.6 verdict instead of hanging the continuation.
-                    self.deliver_reply(token, SyscallResult::Err(FosError::ControllerUnreachable));
-                }
+            Sent::Retry { after } => ctx.schedule_self(
+                after,
+                ProcMsg::Retransmit {
+                    token,
+                    sc,
+                    seq,
+                    attempt: attempt + 1,
+                },
+            ),
+            // Retry budget exhausted: resolve the syscall with the §3.6
+            // verdict instead of hanging the continuation.
+            Sent::Exhausted => {
+                self.deliver_reply(token, SyscallResult::Err(FosError::ControllerUnreachable))
             }
         }
     }
